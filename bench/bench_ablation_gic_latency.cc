@@ -45,12 +45,9 @@ micro(SutKind kind, MicroOp op, double gic_scale)
 {
     TestbedConfig tc;
     tc.kind = kind;
-    // Deliberately not acquireTestbed(): scaleGic mutates the world's
-    // cost model behind the config's back, so a cached instance would
-    // leak the scaling into later same-config cells.
-    Testbed tb(tc);
-    scaleGic(tb, gic_scale);
-    MicrobenchSuite suite(tb);
+    TestbedLease tb = acquireTestbed(tc);
+    scaleGic(*tb, gic_scale);
+    MicrobenchSuite suite(*tb);
     return suite.run(op, 20).cycles.mean();
 }
 

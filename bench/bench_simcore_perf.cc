@@ -212,9 +212,9 @@ BM_Figure4SweepParallel(benchmark::State &state)
 BENCHMARK(BM_Figure4SweepParallel)->Unit(benchmark::kMillisecond);
 
 /** Repeated small sweeps over a fixed configuration set: the
- *  persistent-pool + testbed-cache case. After the first iteration
- *  every cell is a pool-thread wake plus a Testbed::reset() instead
- *  of a thread spawn plus full world construction. */
+ *  persistent-pool case. After the first iteration every cell is a
+ *  pool-thread wake plus a fresh world build instead of a thread
+ *  spawn plus the same build. */
 void
 BM_SweepPoolReuse(benchmark::State &state)
 {

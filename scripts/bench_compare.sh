@@ -53,26 +53,52 @@ import sys
 base_path, max_pct = sys.argv[1], float(sys.argv[2])
 cur_paths = sys.argv[3:]
 
+# google-benchmark reports real_time in each entry's own time_unit
+# (kMillisecond benches say "ms"). Times are held in ns so a delta
+# never mixes units, and printed back in the entry's unit.
+NS_PER = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
 
 def bests(paths):
-    out = {}
+    out, units = {}, {}
     for path in paths:
         with open(path) as f:
             doc = json.load(f)
         for b in doc.get("benchmarks", []):
+            unit = b.get("time_unit", "ns")
+            t = b["real_time"] * NS_PER[unit]
+            name = b["run_name"]
+            units.setdefault(name, unit)
             # Prefer raw repetitions (take the minimum); fall back
             # to mean aggregates for baselines recorded
             # aggregates-only.
             if b.get("run_type") == "iteration":
-                name = b["run_name"]
-                out[name] = min(out.get(name, float("inf")),
-                                b["real_time"])
+                out[name] = min(out.get(name, float("inf")), t)
             elif b.get("aggregate_name") == "mean":
-                out.setdefault(b["run_name"], b["real_time"])
-    return out
+                out.setdefault(name, t)
+    return out, units
 
 
-base, cur = bests([base_path]), bests(cur_paths)
+def host(label, path):
+    with open(path) as f:
+        ctx = json.load(f).get("context", {})
+    line = (f"bench_compare: {label} host: "
+            f"num_cpus={ctx.get('num_cpus', '?')}")
+    for key in ("build_type", "library_build_type"):
+        if key in ctx:
+            line += f" {key}={ctx[key]}"
+    print(line)
+
+
+def fmt(t_ns, unit):
+    v = t_ns / NS_PER[unit]
+    return f"{v:.0f} {unit}" if v >= 100 else f"{v:.3g} {unit}"
+
+
+host("baseline", base_path)
+host("fresh", cur_paths[0])
+base, base_units = bests([base_path])
+cur, cur_units = bests(cur_paths)
 if not base:
     print("bench_compare: baseline has no usable entries; skipping")
     sys.exit(0)
@@ -98,7 +124,8 @@ for name in sorted(base):
     if delta > max_pct:
         flag = f"  <-- exceeds +{max_pct:.0f}% budget"
         failed = True
-    print(f"  {name}: {b:.0f} -> {c:.0f} ns ({delta:+.1f}%){flag}")
+    print(f"  {name}: {fmt(b, base_units[name])} -> "
+          f"{fmt(c, cur_units[name])} ({delta:+.1f}%){flag}")
 
 if missing:
     # A benchmark present in the baseline but absent from the fresh

@@ -195,8 +195,6 @@ Testbed::applyObservability()
     const bool latencyOn = latencyWanted || !latencyPath.empty();
     if (latencyOn) {
         Probe &p = server->probe();
-        // Machine::reset() returns the tracker to the unconfigured
-        // state; re-arm it the way the other sinks re-arm here.
         if (!p.latency.enabled()) {
             p.latency.configure(server->numCpus());
             p.latency.enable();
@@ -235,8 +233,8 @@ Testbed::applyObservability()
         TimelineSampler &tl = server->probe().timeline;
         tl.enable(period);
         installWatchdogRules();
-        // Gauges/rules/hook survive within a world; only (re)install
-        // on a freshly built or reset one (reset clears the sampler).
+        // Gauges, rules and hooks install once per world; a later
+        // enableTimeline()/enableLatency() call finds them in place.
         if (slo.armed() &&
             tl.findGauge("slo." + slo.specs().front().name +
                          ".q_us") < 0) {
@@ -252,13 +250,12 @@ Testbed::applyObservability()
             tl.findGauge("shard.lanes_live") < 0) {
             kern.registerGauges(tl);
         }
-        if (incidentsOn && !flightArmed) {
+        if (incidentsOn && !flight.enabled()) {
             // Arm last — enable() sizes tick-row storage from the
             // gauge count, so every registration above must be done.
             // Classic worlds stamp from lane 0 only, so the default
             // single-segment window ring suffices (the trace sink is
             // not lane-partitioned here either).
-            flightArmed = true;
             const double winUs =
                 envPositiveReal("VIRTSIM_INCIDENT_WINDOW_US", 1e9)
                     .value_or(100.0);
@@ -385,12 +382,6 @@ Testbed::exportObservability()
         incidentsDir.empty()) {
         return;
     }
-    // Once per run: a cached testbed exports when its lease is
-    // released, and must not clobber those files with post-reset
-    // emptiness when the cache is finally destroyed. reset() re-arms.
-    if (observabilityExported)
-        return;
-    observabilityExported = true;
     // Parallel sweeps tear testbeds down from worker threads; exports
     // go one at a time. Same-kind testbeds still share a path (last
     // writer wins); distinct configurations never clobber each other.
@@ -489,13 +480,11 @@ Testbed::exportObservability()
 CausalAnalyzer &
 Testbed::attribution()
 {
-    if (!_attrib)
+    if (!_attrib) {
         _attrib = std::make_unique<CausalAnalyzer>();
-    // (Re)attach every call, not just on creation: reset() detaches
-    // the analyzer and disables the sink to restore the fresh state,
-    // and the next attribution() user must get a live pipeline again.
-    server->trace().enable();
-    server->trace().setObserver(_attrib.get());
+        server->trace().enable();
+        server->trace().setObserver(_attrib.get());
+    }
     return *_attrib;
 }
 
@@ -510,52 +499,6 @@ Testbed::beginRun()
     flight.reset();
     if (_attrib)
         _attrib->reset();
-}
-
-void
-Testbed::reset()
-{
-    // Order matters: the hypervisor references the machine, so tear
-    // it down before rewinding machine state. Pending events may hold
-    // captures pointing at the old hypervisor; dropping them via
-    // eq.reset() only runs capture destructors, never the callbacks.
-    hv.reset();
-    guestVm = nullptr;
-    kern.reset();
-    server->reset();
-
-    // An attribution() user enabled the sink and attached the
-    // analyzer; a fresh testbed has neither. (Machine::reset leaves
-    // the sink's wiring alone precisely so this stays the testbed's
-    // call.)
-    server->trace().setObserver(nullptr);
-    server->trace().disable();
-    if (_attrib)
-        _attrib->reset();
-
-    rng = Random(cfg.seed);
-    txSeq = 0;
-    onHostRx = nullptr;
-    onVmRx = nullptr;
-    onClientRx = nullptr;
-    for (auto &q : nativeIpiDone)
-        q.clear();
-
-    // The wire, its endpoints, and the NIC's onWireTx hook capture
-    // `this` and survive as-is; only the world on top is rebuilt.
-    if (isVirtualized(cfg.kind))
-        buildVirtualized();
-    else
-        buildNative();
-    observabilityExported = false; // the next run exports again
-    slo.reset();
-    // The rebuilt sampler lost its hooks; disarm so the block in
-    // applyObservability() reinstalls them (and resizes the tick
-    // rows against the fresh gauge registration).
-    flight.reset();
-    flight.disable();
-    flightArmed = false;
-    applyObservability();
 }
 
 void
@@ -665,8 +608,7 @@ Testbed::buildVirtualized()
             onVmRx(t, pkt);
     };
 
-    // Backend wake and kick edges join the kernel's channel table
-    // (idempotent across reset rebuilds).
+    // Backend wake and kick edges join the kernel's channel table.
     hv->declareShardChannels(kern);
     hv->start();
 }
@@ -781,101 +723,21 @@ Testbed::clientSend(Cycles t, const Packet &pkt)
 
 namespace {
 
-/**
- * Per-thread testbed cache. thread_local so sweep workers — which
- * persist across sweeps — each keep their own worlds and never
- * contend; a worker revisiting a sweep cell with an equal config
- * resets instead of reconstructing. Entries are held by unique_ptr so
- * Testbed addresses handed out in leases survive vector growth and
- * eviction of *other* entries.
- */
-struct CacheEntry
-{
-    TestbedConfig cfg;
-    std::unique_ptr<Testbed> tb;
-    bool inUse = false;       ///< leased out right now
-    std::uint64_t lastUse = 0; ///< for LRU eviction
-};
-
-struct TestbedCache
-{
-    std::vector<std::unique_ptr<CacheEntry>> entries;
-    std::uint64_t tick = 0;
-    TestbedCacheStats stats;
-};
-
-thread_local TestbedCache tl_cache;
-
-/** Worlds kept per thread; enough for one SUT-kind sweep axis (seven
- *  kinds) plus an ablation variant without eviction churn. */
-constexpr std::size_t cacheCapacity = 8;
+thread_local TestbedCacheStats tl_built;
 
 } // namespace
 
 TestbedCacheStats
 testbedCacheStats()
 {
-    return tl_cache.stats;
-}
-
-bool
-testbedCacheEnabled()
-{
-    // Observability no longer bypasses the cache: exports fire when a
-    // lease is released (TestbedLease::~TestbedLease ->
-    // exportObservability()), not only in ~Testbed, and reset()
-    // rebuilds every sink to its fresh state — so a cached world's
-    // exports are byte-identical to a cold build's.
-    if (const char *v = std::getenv("VIRTSIM_POOL_CACHE"))
-        return !(v[0] == '0' && v[1] == '\0');
-    return true;
+    return tl_built;
 }
 
 TestbedLease
 acquireTestbed(const TestbedConfig &cfg)
 {
-    if (!testbedCacheEnabled())
-        return TestbedLease(std::make_unique<Testbed>(cfg));
-
-    TestbedCache &cache = tl_cache;
-    ++cache.tick;
-    for (auto &e : cache.entries) {
-        if (!e->inUse && e->cfg == cfg) {
-            ++cache.stats.hits;
-            e->inUse = true;
-            e->lastUse = cache.tick;
-            e->tb->reset();
-            return TestbedLease(e->tb.get(), &e->inUse);
-        }
-    }
-
-    ++cache.stats.misses;
-    if (cache.entries.size() >= cacheCapacity) {
-        // Evict the least-recently-used idle entry. If every entry is
-        // leased (nested acquires of 8+ distinct configs), grow past
-        // capacity rather than fail.
-        auto victim = cache.entries.end();
-        for (auto it = cache.entries.begin(); it != cache.entries.end();
-             ++it) {
-            if ((*it)->inUse)
-                continue;
-            if (victim == cache.entries.end() ||
-                (*it)->lastUse < (*victim)->lastUse) {
-                victim = it;
-            }
-        }
-        if (victim != cache.entries.end())
-            cache.entries.erase(victim);
-    }
-
-    auto entry = std::make_unique<CacheEntry>();
-    entry->cfg = cfg;
-    entry->tb = std::make_unique<Testbed>(cfg);
-    entry->inUse = true;
-    entry->lastUse = cache.tick;
-    cache.entries.push_back(std::move(entry));
-    CacheEntry &e = *cache.entries.back();
-    return TestbedLease(e.tb.get(), &e.inUse);
+    ++tl_built.misses;
+    return std::make_unique<Testbed>(cfg);
 }
 
 } // namespace virtsim

@@ -79,10 +79,6 @@ struct TestbedConfig
     bool tsoRegression = true;
     /** PRNG seed; equal seeds give bit-identical runs. */
     std::uint64_t seed = 42;
-
-    /** Cells with equal configs are interchangeable worlds — the
-     *  testbed cache keys on this. */
-    bool operator==(const TestbedConfig &) const = default;
 };
 
 /**
@@ -133,18 +129,6 @@ class Testbed
      * registrations and the trace-enabled flag survive.
      */
     void beginRun();
-
-    /**
-     * Return the testbed to its just-constructed state: hypervisor
-     * and VMs rebuilt from the config, event queue rewound to cycle
-     * zero, machine hardware and registries restored, PRNG reseeded,
-     * workload callbacks dropped. A reset testbed is
-     * *fresh-equivalent*: any workload run on it produces bytes
-     * identical to the same workload on a newly constructed
-     * Testbed{config()} — the property the testbed cache and the
-     * VIRTSIM_JOBS determinism guarantee rest on.
-     */
-    void reset();
 
     /** Null for the native configuration. */
     Hypervisor *hypervisor() { return hv.get(); }
@@ -231,23 +215,10 @@ class Testbed
     TimelineSampler &timeline() { return server->probe().timeline; }
 
     /**
-     * Write every export armed at construction (VIRTSIM_TRACE /
-     * METRICS / FLAME / TIMELINE / SHARD_PROFILE / LATENCY). Runs at
-     * most once
-     * per run: the destructor calls it, and so does TestbedLease
-     * release, so cached worlds parked in persistent pool workers
-     * export without waiting for process teardown; reset() re-arms
-     * for the next run. No-op with no export armed.
-     */
-    void exportObservability();
-
-    /**
      * Programmatically arm timeline sampling at the given rate, as if
      * VIRTSIM_TIMELINE_HZ were set (no file export unless a path was
      * configured too). For tests and benches that want the series or
-     * the watchdog in-process; survives reset() like the env opt-ins.
-     * Note: acquireTestbed()'s cache only bypasses on the env vars,
-     * so call this on directly constructed testbeds only.
+     * the watchdog in-process.
      */
     void
     enableTimeline(double hz)
@@ -261,8 +232,7 @@ class Testbed
      * Programmatically arm request-latency tracking and the SLO
      * engine, as if VIRTSIM_LATENCY were set (no file export unless a
      * path was configured too). Also arms timeline sampling — the SLO
-     * burn windows evaluate in the sample hook. Survives reset() like
-     * the env opt-ins; same cache caveat as enableTimeline().
+     * burn windows evaluate in the sample hook.
      */
     void
     enableLatency()
@@ -289,11 +259,19 @@ class Testbed
   private:
     void buildNative();
     void buildVirtualized();
-    /** Re-apply the VIRTSIM_TRACE/METRICS/FLAME/TIMELINE opt-ins
+    /** Apply the VIRTSIM_TRACE/METRICS/FLAME/TIMELINE opt-ins
      *  captured at construction (trace enable, analyzer attach,
-     *  profiler hookup, sampler arming + watchdog rules) on a freshly
-     *  built or reset world. */
+     *  profiler hookup, sampler arming + watchdog rules), plus any
+     *  enableTimeline()/enableLatency() request. Idempotent: each
+     *  call arms only what is not armed yet. */
     void applyObservability();
+    /**
+     * Write every export armed at construction (VIRTSIM_TRACE /
+     * METRICS / FLAME / TIMELINE / SHARD_PROFILE / LATENCY /
+     * INCIDENTS). The destructor calls it, once. No-op with no
+     * export armed.
+     */
+    void exportObservability();
     /** Install the default watchdog rule set over the registered
      *  gauges (stalled VCPU, sustained LR saturation, NIC queue
      *  bound, rx-drop burst). No-op if rules are already present. */
@@ -327,11 +305,6 @@ class Testbed
     /** Incident forensics: armed by applyObservability() under
      *  VIRTSIM_INCIDENTS, flushed in exportObservability(). */
     FlightRecorder flight;
-    /** flight's hooks are installed on the current world (cleared by
-     *  reset(): the rebuilt sampler starts hookless). */
-    bool flightArmed = false;
-    /** exportObservability() already ran for the current run. */
-    bool observabilityExported = false;
     /** Sampling rate in simulated Hz (VIRTSIM_TIMELINE_HZ or
      *  enableTimeline()); 100 kHz default keeps a Table V run well
      *  inside the per-series capacity. */
@@ -343,91 +316,27 @@ class Testbed
     std::array<std::deque<Done>, 8> nativeIpiDone;
 };
 
-/**
- * RAII handle to a testbed obtained from acquireTestbed(). When the
- * testbed came from the per-thread cache the lease releases it for
- * reuse on destruction; when the cache is bypassed the lease owns the
- * testbed outright and destroys it.
- */
-class TestbedLease
-{
-  public:
-    /** Owning lease (cache bypassed). */
-    explicit TestbedLease(std::unique_ptr<Testbed> owned)
-        : owning(std::move(owned)), cached(nullptr), inUse(nullptr)
-    {
-    }
+/** Owning handle to a testbed obtained from acquireTestbed(). */
+using TestbedLease = std::unique_ptr<Testbed>;
 
-    /** Cached lease: tb stays alive in the cache, *in_use flips back
-     *  to false on release. */
-    TestbedLease(Testbed *tb, bool *in_use)
-        : cached(tb), inUse(in_use)
-    {
-    }
-
-    TestbedLease(TestbedLease &&other) noexcept
-        : owning(std::move(other.owning)), cached(other.cached),
-          inUse(other.inUse)
-    {
-        other.cached = nullptr;
-        other.inUse = nullptr;
-    }
-
-    TestbedLease(const TestbedLease &) = delete;
-    TestbedLease &operator=(const TestbedLease &) = delete;
-    TestbedLease &operator=(TestbedLease &&) = delete;
-
-    ~TestbedLease()
-    {
-        if (inUse) {
-            // Cached worlds outlive the lease inside the pool worker;
-            // flush their exports now, not at process teardown.
-            cached->exportObservability();
-            *inUse = false;
-        }
-    }
-
-    Testbed *get() { return owning ? owning.get() : cached; }
-    Testbed &operator*() { return *get(); }
-    Testbed *operator->() { return get(); }
-
-  private:
-    std::unique_ptr<Testbed> owning;
-    Testbed *cached;
-    bool *inUse;
-};
-
-/** Per-thread testbed cache counters (cumulative for the calling
- *  thread; sweep workers each have their own). */
+/** Worlds built by acquireTestbed() on the calling thread. Kept only
+ *  for the benchmark driver (perfbench), which reports them; hits is
+ *  always 0 since every acquire builds. A later benchmark change may
+ *  drop it. */
 struct TestbedCacheStats
 {
-    std::uint64_t hits = 0;   ///< acquires served by reset-and-reuse
-    std::uint64_t misses = 0; ///< acquires that cold-built a world
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0; ///< worlds built on this thread
 };
 
-/** Counters for the calling thread's cache. */
+/** Counters for the calling thread. */
 TestbedCacheStats testbedCacheStats();
 
 /**
- * Whether acquireTestbed() may serve cached worlds. False only when
- * VIRTSIM_POOL_CACHE=0 (force cold-build, e.g. to bisect a suspected
- * reset bug). Observability opt-ins no longer bypass the cache:
- * exports flush on lease release (exportObservability) and reset()
- * restores every sink to its fresh state, so cached runs export
- * byte-identically to cold builds. Re-read per call.
- */
-bool testbedCacheEnabled();
-
-/**
- * Get a ready-to-use testbed for cfg: a reset() cached instance from
- * the calling thread's cache when one with an equal config is idle,
- * else a freshly built one (cached for next time when caching is
- * enabled). The cache is thread_local — sweep workers persist across
- * sweeps (sim/sweep.hh), so a worker re-entering the same sweep cell
- * skips world construction entirely. Reset guarantees
- * fresh-equivalence, so results are byte-identical whether or not a
- * cache hit occurred — and therefore across VIRTSIM_JOBS values and
- * VIRTSIM_POOL_CACHE settings.
+ * Build a ready-to-use testbed for cfg. Every call constructs a new
+ * world, so results depend only on cfg — byte-identical across
+ * VIRTSIM_JOBS values and call order. Exports armed by env knobs
+ * write when the returned handle destroys the testbed.
  */
 TestbedLease acquireTestbed(const TestbedConfig &cfg);
 

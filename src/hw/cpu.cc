@@ -85,16 +85,6 @@ PhysicalCpu::PhysicalCpu(PcpuId id, EventQueue &eq, const CostModel &cm)
 {
 }
 
-void
-PhysicalCpu::reset()
-{
-    _frontier = 0;
-    _busy = 0;
-    _mode = cm.arch == Arch::Arm ? CpuMode::El1 : CpuMode::KernelRoot;
-    _context = "idle";
-    _regs = RegFile();
-}
-
 Cycles
 PhysicalCpu::charge(Cycles ready, Cycles cost)
 {

@@ -112,16 +112,6 @@ class IrqChip
         ipiCh = std::move(ipiChannel);
     }
 
-    /** Drop the installed handler, routing table, and any
-     *  architecture-specific virtual-interrupt state, returning the
-     *  chip to its just-constructed state. */
-    virtual void
-    reset()
-    {
-        handler = nullptr;
-        routes.clear();
-    }
-
   protected:
     /** Deliver irq at cpu at time t by invoking the handler. */
     void deliver(Cycles t, PcpuId cpu, IrqId irq);
@@ -218,15 +208,6 @@ class Gic : public IrqChip
     /** Cost of the guest ack register read. */
     Cycles guestAckCost() const { return cm.irqChipRegAccess; }
 
-    void
-    reset() override
-    {
-        IrqChip::reset();
-        for (auto &cpuLrs : lrs)
-            for (ListReg &lr : cpuLrs)
-                lr.clear();
-    }
-
   private:
     std::vector<std::array<ListReg, numListRegs>> lrs;
 };
@@ -259,15 +240,6 @@ class Apic : public IrqChip
      * Whether a guest EOI traps to the hypervisor on this hardware.
      */
     bool guestEoiTraps() const { return !vapic; }
-
-    void
-    reset() override
-    {
-        IrqChip::reset();
-        vapic = false;
-        for (IrqId &v : pendingVirq)
-            v = -1;
-    }
 
   private:
     bool vapic = false;

@@ -167,28 +167,13 @@ class Machine
     MainMemory &memory() { return _memory; }
     Nic &nic() { return *_nic; }
 
-    /**
-     * Return the machine to its just-constructed state so a cached
-     * instance is indistinguishable from a cold-built one: CPUs,
-     * interrupt chip, timers, TLBs, memory and NIC rewound; stats and
-     * metrics registries *cleared* (registrations dropped, not just
-     * zeroed — a reset-but-registered counter would render rows a
-     * fresh machine lacks); trace ring and profiler emptied. Does NOT
-     * touch the trace sink's enabled flag, capacity or observer, nor
-     * the NIC's onWireTx hook — those belong to the harness (Testbed)
-     * that owns the machine. Does not drain the event queue either:
-     * the queue is shared with the harness, which resets it.
-     */
-    void reset();
-
   private:
     /**
      * Register this machine's hardware gauges with the timeline
      * sampler: per-CPU exception level / run mode and busy-cycle
      * rate, GIC list-register occupancy (ARM), event-queue depth,
      * NIC rx queue depth and drop rate, and the stage-2 fault rate.
-     * Called from the constructor and again from reset() (reset
-     * clears the sampler, mirroring the metrics registry).
+     * Called from the constructor.
      */
     void registerTimelineGauges();
 

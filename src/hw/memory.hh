@@ -58,15 +58,6 @@ class MainMemory
 
     std::size_t liveBuffers() const { return buffers.size(); }
 
-    /** Free every buffer and rewind the id allocator, so a recycled
-     *  memory hands out the same BufferId sequence as a fresh one. */
-    void
-    reset()
-    {
-        buffers.clear();
-        nextId = 0;
-    }
-
   private:
     struct Buffer
     {

@@ -79,13 +79,6 @@ Tlb::invalidateVmid(VmId vmid)
     }
 }
 
-void
-Tlb::invalidateAll()
-{
-    entries.clear();
-    order.clear();
-}
-
 Mmu::Mmu(const CostModel &cm, StatRegistry &stats, int n_cpus,
          Probe *probe)
     : cm(cm), stats(stats), probe(probe),

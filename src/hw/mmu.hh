@@ -96,9 +96,6 @@ class Tlb
     /** Invalidate everything belonging to a VMID. */
     void invalidateVmid(VmId vmid);
 
-    /** Invalidate everything. */
-    void invalidateAll();
-
     std::size_t size() const { return entries.size(); }
 
   private:
@@ -149,15 +146,6 @@ class Mmu
     Tlb &tlb(PcpuId cpu) { return tlbs.at(static_cast<std::size_t>(cpu)); }
 
     int numCpus() const { return static_cast<int>(tlbs.size()); }
-
-    /** Invalidate every TLB (cost-free: recycling a machine, not a
-     *  modelled hardware operation). */
-    void
-    reset()
-    {
-        for (Tlb &t : tlbs)
-            t.invalidateAll();
-    }
 
   private:
     const CostModel &cm;

@@ -92,18 +92,6 @@ class Nic
     /** Serialization delay of a packet at line rate. */
     Cycles serializationDelay(std::uint32_t bytes) const;
 
-    /** Drop queued packets and rewind wire/coalescing state. Keeps
-     *  the onWireTx hook: it belongs to the harness that wired the
-     *  machine up, not to a single run. */
-    void
-    reset()
-    {
-        rxQueue.clear();
-        txWireFree = 0;
-        coalesceUntil = 0;
-        windowIrqPending = false;
-    }
-
   private:
     EventQueue &eq;
     IrqChip &chip;

@@ -43,15 +43,6 @@ class TimerBank
     /** Armed deadline; only meaningful when armed(). */
     Cycles deadline(PcpuId cpu) const;
 
-    /** Disarm every slot and rewind the stale-fire generation
-     *  counters to their just-constructed values. */
-    void
-    reset()
-    {
-        for (Slot &s : slots)
-            s = Slot{};
-    }
-
   private:
     struct Slot
     {

@@ -13,8 +13,8 @@ NetbackBackend::NetbackBackend(Machine &m, Vm &dom0, Vm &domU,
     VIRTSIM_ASSERT(p.dom0Pcpu < m.numCpus(), "dom0 pinned outside machine");
 
     // PV ring and grant-table gauges on Dom0's CPU track; same
-    // lifetime argument as the vhost gauges (sampler cleared before
-    // the backend is destroyed).
+    // lifetime argument as the vhost gauges (the backend lives as long
+    // as the world).
     TimelineSampler &tl = m.probe().timeline;
     const auto track = static_cast<std::uint16_t>(p.dom0Pcpu);
     tl.addGauge("netback.rx_backlog",

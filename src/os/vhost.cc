@@ -16,9 +16,8 @@ VhostBackend::VhostBackend(Machine &m, Vm &guest,
                    "vhost pinned outside machine");
 
     // Virtio/vhost queue-depth gauges, on the worker's CPU track.
-    // The backend outlives the sampler's use of these captures: the
-    // harness clears the sampler (Machine::reset) before tearing the
-    // hypervisor — and with it this backend — down.
+    // The backend outlives the sampler's use of these captures: it is
+    // torn down only with the whole world, after the last sample.
     TimelineSampler &tl = m.probe().timeline;
     const auto track = static_cast<std::uint16_t>(p.workerPcpu);
     tl.addGauge("vhost.rx_backlog",

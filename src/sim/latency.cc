@@ -245,15 +245,6 @@ RequestTracker::reset()
     lastId = 0;
 }
 
-void
-RequestTracker::clear()
-{
-    segs.clear();
-    _cpus = 0;
-    _enabled = false;
-    lastId = 0;
-}
-
 namespace {
 
 /** %.4f without locale surprises (matches the timeline exporter). */

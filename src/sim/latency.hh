@@ -305,10 +305,6 @@ class RequestTracker
      *  TimelineSampler::resetSeries). */
     void reset();
 
-    /** Drop everything including configuration — back to the
-     *  never-configured state. */
-    void clear();
-
   private:
     void recordEnabled(int cpu, LatencyPhase phase, Cycles value);
 

@@ -866,14 +866,6 @@ class MetricsRegistry
     /** Zero all counters and histograms in every domain. */
     void reset();
 
-    /** Drop every domain and registration, returning to the
-     *  just-constructed state. Invalidates references previously
-     *  handed out by machine()/vm()/cpu(); reset() keeps them valid
-     *  but leaves zero-valued rows in snapshots. Testbed reuse uses
-     *  clear() so a recycled world snapshots byte-identically to a
-     *  fresh one. */
-    void clear();
-
     MetricsSnapshot snapshot() const;
 
   private:

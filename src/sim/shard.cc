@@ -182,8 +182,8 @@ ShardedEventKernel::channel(std::string name, ShardId src, ShardId dst,
     VIRTSIM_ASSERT(!cross || lookahead > 0,
                    "channel '", name, "' crosses lanes with zero ",
                    "lookahead; conservative sync needs latency > 0");
-    // Redeclaration — a harness rebuilding its world on a long-lived
-    // kernel (testbed reset), possibly with retuned latencies — reuses
+    // Redeclaration — a harness rebuilding part of its world on a
+    // long-lived kernel, possibly with retuned latencies — reuses
     // the existing channel and keeps the tighter of the two
     // lookaheads; the matrix update above already took the min, which
     // is always the safe direction (stale edges from an earlier shard
@@ -383,7 +383,8 @@ ShardedEventKernel::runSparseRounds(bool bounded, Cycles limit,
     const Cycles period = tl ? tl->period() : 0;
 
     // Reconcile the lane caches with whatever happened since the last
-    // run: setup-context scheduleAt, cancellations, clear()/reset().
+    // run: setup-context scheduleAt, cancellations, direct edits of a
+    // lane queue.
     // From here on only merged messages and the lanes' own execution
     // mutate the queues, and both refresh the cache at the spot.
     for (int i = 0; i < n; ++i)
@@ -1029,33 +1030,6 @@ ShardedEventKernel::workerLoop()
         if (last)
             crewDone.notify_one();
     }
-}
-
-void
-ShardedEventKernel::clear()
-{
-    for (auto &q : lanes_)
-        q->clear();
-    for (Mailbox &mb : mail)
-        mb.msgs.clear();
-    for (auto &td : touchedDst_)
-        td.clear();
-}
-
-void
-ShardedEventKernel::reset()
-{
-    clear();
-    for (auto &q : lanes_)
-        q->reset();
-    st.rounds = 0;
-    st.parallelRounds = 0;
-    st.crossMsgs = 0;
-    st.laneDispatches = 0;
-    for (LaneStats &ls : st.lanes)
-        ls = LaneStats{};
-    if (profileEnabled_)
-        enableShardProfile(); // re-zero the profile for the next run
 }
 
 Cycles

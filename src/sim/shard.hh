@@ -175,13 +175,6 @@ class ShardedEventKernel
      *  stepping); multi-lane execution is round-based. */
     bool step();
 
-    /** Drop all pending events and buffered cross-lane messages. */
-    void clear();
-
-    /** clear() plus rewind every lane's clock and sequence counter
-     *  and zero the round statistics (testbed reuse). */
-    void reset();
-
     /** Latest lane clock (the simulation's notion of "now" between
      *  runs; lanes may transiently differ during a run). */
     Cycles now() const;

@@ -129,14 +129,6 @@ StatRegistry::reset()
         kv.second.reset();
 }
 
-void
-StatRegistry::clear()
-{
-    std::unique_lock lock(mtx);
-    counters.clear();
-    stats.clear();
-}
-
 std::string
 StatRegistry::render() const
 {

@@ -258,15 +258,6 @@ class StatRegistry
 
     void reset();
 
-    /**
-     * Drop every registration, not just the values. reset() keeps the
-     * key set, so a registry that has seen a run renders zero-valued
-     * rows a fresh registry would not have; clear() restores the
-     * exact never-used state, which testbed reuse needs to stay
-     * byte-identical with a cold-built world.
-     */
-    void clear();
-
     /** Render all counters and stat summaries, one per line. */
     std::string render() const;
 

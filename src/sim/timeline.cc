@@ -344,24 +344,6 @@ TimelineSampler::resetSeries()
     scheduled = false;
 }
 
-void
-TimelineSampler::clear()
-{
-    series.clear();
-    rules.clear();
-    hooks.clear();
-    postHooks.clear();
-    anomalyHook.reset();
-    anomalyBuf.reset();
-    anomalyUsed = 0;
-    _anomaliesDropped = 0;
-    _dropped = 0;
-    _ticks = 0;
-    _period = 0;
-    _enabled = false;
-    scheduled = false;
-}
-
 std::string
 TimelineSampler::renderJson(const Frequency &freq) const
 {

@@ -11,7 +11,7 @@
  * at a fixed simulated-time period and accumulates fixed-capacity POD
  * series. Because sampling happens at simulated timestamps driven by
  * the deterministic event queue, the exported series are byte-
- * identical across VIRTSIM_JOBS and across Testbed::reset().
+ * identical across VIRTSIM_JOBS.
  *
  * Cost model mirrors TraceSink: when disabled, the only per-run cost
  * is one predictable branch in ensureScheduled(); when enabled, the
@@ -108,8 +108,7 @@ class TimelineSampler
      * consumer may fold lane-partitioned observability state —
      * the SLO engine refreshes its rolling-quantile readings here.
      * Hooks run in registration order; like gauges, registration
-     * must be deterministic. Kept by resetSeries(), dropped by
-     * clear().
+     * must be deterministic. Kept by resetSeries().
      */
     void addSampleHook(SampleHookFn fn);
 
@@ -119,7 +118,7 @@ class TimelineSampler
      * evaluated. Same quiescence and determinism contract as
      * addSampleHook(); the flight recorder folds its window
      * maintenance (eviction, reference sealing, incident finalization)
-     * here. Kept by resetSeries(), dropped by clear().
+     * here. Kept by resetSeries().
      */
     void addPostSampleHook(SampleHookFn fn);
 
@@ -213,10 +212,6 @@ class TimelineSampler
      * on one testbed start from an empty timeline.
      */
     void resetSeries();
-
-    /** Drop everything: gauges, rules, series, configuration. Called
-     *  from Machine::reset(); components re-register afterwards. */
-    void clear();
 
     /** Standalone JSON export (schema "virtsim-timeline-1"). */
     std::string renderJson(const Frequency &freq) const;

@@ -321,11 +321,6 @@ TEST(RequestTracker, RecordsPerCpuPerPhaseAndAggregates)
     EXPECT_TRUE(t.enabled());
     EXPECT_EQ(t.cpus(), 2);
     EXPECT_EQ(t.totalCount(LatencyPhase::Rtt), 0u);
-
-    // clear() drops everything.
-    t.clear();
-    EXPECT_FALSE(t.enabled());
-    EXPECT_EQ(t.cpus(), 0);
 }
 
 TEST(RequestTrackerFastPath, DisabledStampAllocatesNothing)

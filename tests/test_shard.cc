@@ -533,17 +533,19 @@ TEST(ShardsEnv, Table5ExportsByteIdenticalAcrossShards)
     // from the Table V netperf path must be byte-identical at every
     // VIRTSIM_SHARDS value (classic worlds place every component on
     // lane 0, so all stamping lands in segment 0 whatever the knob
-    // says; no serial fallback is involved).
+    // says; no serial fallback is involved). The world comes from
+    // acquireTestbed(), as the benches get theirs, and its exports
+    // write when the handle goes out of scope.
     auto runOnce = [](const char *shards) {
         ScopedEnv s("VIRTSIM_SHARDS", shards);
         ScopedEnv m("VIRTSIM_METRICS", "/tmp/shard_t5_m.json");
         ScopedEnv t("VIRTSIM_TIMELINE", "/tmp/shard_t5_tl.json");
         {
-            Testbed tb(TestbedConfig{.kind = SutKind::KvmArm,
-                                     .seed = 912});
+            TestbedLease tb = acquireTestbed(
+                TestbedConfig{.kind = SutKind::KvmArm, .seed = 912});
             NetperfRrConfig nc;
             nc.transactions = 25;
-            (void)runNetperfRr(tb, nc);
+            (void)runNetperfRr(*tb, nc);
         }
         return std::pair<std::string, std::string>(
             slurp("/tmp/shard_t5_m.kvm_arm.json"),

@@ -241,29 +241,3 @@ TEST(Sweep, Figure4IsDeterministicAcrossJobCounts)
     ASSERT_FALSE(serial.empty());
     expectIdenticalRows(serial, parallel);
 }
-
-TEST(Sweep, Figure4IsIdenticalWithTestbedCacheDisabled)
-{
-    // The per-worker testbed cache serves reset() worlds on repeat
-    // configurations; fresh-equivalence of the reset means cold-built
-    // and recycled runs must produce the same bytes. Run the sweep
-    // twice cached (the second pass is all cache hits) and once with
-    // VIRTSIM_POOL_CACHE=0, at different job counts.
-    AppBenchOptions opt;
-    opt.seed = 42;
-
-    std::vector<AppBenchRow> cached_warm;
-    {
-        ScopedJobs env("8");
-        (void)runFigure4(opt); // warm the per-worker caches
-        cached_warm = runFigure4(opt);
-    }
-    std::vector<AppBenchRow> cold;
-    {
-        ScopedJobs env("1");
-        ScopedEnv cache("VIRTSIM_POOL_CACHE", "0");
-        cold = runFigure4(opt);
-    }
-    ASSERT_FALSE(cold.empty());
-    expectIdenticalRows(cold, cached_warm);
-}

@@ -241,20 +241,31 @@ BENCHMARK(BM_SweepPoolReuse)->Unit(benchmark::kMillisecond);
 /** The dead-probe fast path: stamping against a disabled sink must
  *  cost one predictable branch per call (and allocate nothing — the
  *  tests assert that part). This is the per-event overhead every
- *  un-traced sweep cell pays. */
+ *  un-traced sweep cell pays.
+ *
+ *  The dead-path benches publish the object's address and clobber
+ *  memory after every call, so each call reloads the enable flag and
+ *  branches on it. Without that the compiler hoists the one check
+ *  out of the loop and deletes the loop (~0.3 ns per 1000 calls). */
 void
 BM_DeadProbeStamp(benchmark::State &state)
 {
     TraceSink sink; // never enabled
+    benchmark::DoNotOptimize(&sink);
     const TapId tap = internTap("bench.deadprobe");
     Cycles t = 0;
     for (auto _ : state) {
         for (int i = 0; i < 1000; ++i) {
             ++t;
             sink.stamp(t, 1, tap);
+            benchmark::ClobberMemory();
             sink.span(t, t + 2, tap, TraceCat::Op);
-            sink.edgeIn(t, sink.edgeOut(t, tap, TraceCat::Irq), tap,
-                        TraceCat::Irq);
+            benchmark::ClobberMemory();
+            const std::uint64_t token =
+                sink.edgeOut(t, tap, TraceCat::Irq);
+            benchmark::ClobberMemory();
+            sink.edgeIn(t, token, tap, TraceCat::Irq);
+            benchmark::ClobberMemory();
         }
         benchmark::DoNotOptimize(t);
     }
@@ -275,10 +286,12 @@ BM_DeadTimelineTick(benchmark::State &state)
     std::int64_t level = 0;
     timeline.addGauge("bench.deadtimeline",
                       [&level] { return level; });
+    benchmark::DoNotOptimize(&timeline);
     for (auto _ : state) {
-        for (int i = 0; i < 1000; ++i)
+        for (int i = 0; i < 1000; ++i) {
             timeline.ensureScheduled(eq);
-        benchmark::DoNotOptimize(timeline);
+            benchmark::ClobberMemory();
+        }
     }
     state.SetItemsProcessed(state.iterations() * 1000);
 }
@@ -293,14 +306,16 @@ BM_DeadLatencyStamp(benchmark::State &state)
 {
     RequestTracker tracker;
     tracker.configure(4); // sized but never enabled
+    benchmark::DoNotOptimize(&tracker);
     Cycles t = 0;
     for (auto _ : state) {
         for (int i = 0; i < 1000; ++i) {
             t += 7;
             tracker.record(i & 3, LatencyPhase::Rtt, t);
+            benchmark::ClobberMemory();
             tracker.record(i & 3, LatencyPhase::Service, t >> 1);
+            benchmark::ClobberMemory();
         }
-        benchmark::DoNotOptimize(tracker);
         benchmark::DoNotOptimize(t);
     }
     // Two stamping calls per inner loop turn.
@@ -318,10 +333,12 @@ BM_DeadFlightStamp(benchmark::State &state)
     FlightRecorder fr; // never enabled
     const TraceRecord r{0, 0, internTap("bench.deadflight"), 0,
                         TraceKind::Instant, TraceCat::Op};
+    benchmark::DoNotOptimize(&fr);
     for (auto _ : state) {
-        for (int i = 0; i < 1000; ++i)
+        for (int i = 0; i < 1000; ++i) {
             fr.record(r);
-        benchmark::DoNotOptimize(fr);
+            benchmark::ClobberMemory();
+        }
     }
     state.SetItemsProcessed(state.iterations() * 1000);
 }

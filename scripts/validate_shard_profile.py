@@ -3,7 +3,7 @@
 
 Usage: scripts/validate_shard_profile.py FILE [FILE...]
 
-Checks each file against the "virtsim-shard-profile-2" schema:
+Checks each file against the "virtsim-shard-profile-3" schema:
 required keys, sparse lane_detail rows (one per lane that ran or
 stalled, ascending by lane id, all-zero lanes elided), internally
 consistent wall/busy/wait accounting (busy + wait + stall never
@@ -24,7 +24,7 @@ import sys
 
 REQUIRED_TOP = [
     "schema", "lanes", "lanes_profiled", "rounds", "parallel_rounds",
-    "wall_ns", "busy_ns_total", "speedup_estimate", "lane_detail",
+    "wall_ns", "busy_ns_total", "busy_over_wall", "lane_detail",
     "critical_channels",
 ]
 REQUIRED_LANE = [
@@ -48,7 +48,7 @@ def validate(path):
     if errors:
         return errors
 
-    if doc["schema"] != "virtsim-shard-profile-2":
+    if doc["schema"] != "virtsim-shard-profile-3":
         errors.append(f"{path}: unknown schema '{doc['schema']}'")
     lanes = doc["lanes"]
     if lanes < 1:
@@ -57,8 +57,8 @@ def validate(path):
         errors.append(
             f"{path}: parallel_rounds {doc['parallel_rounds']} > "
             f"rounds {doc['rounds']}")
-    if doc["speedup_estimate"] < 0:
-        errors.append(f"{path}: negative speedup_estimate")
+    if doc["busy_over_wall"] < 0:
+        errors.append(f"{path}: negative busy_over_wall")
 
     detail = doc["lane_detail"]
     if len(detail) != doc["lanes_profiled"]:
@@ -145,8 +145,8 @@ def validate(path):
     if not errors:
         print(f"{path}: OK ({doc['lanes_profiled']}/{lanes} lanes "
               f"profiled, {doc['rounds']} rounds, "
-              f"{doc['parallel_rounds']} parallel, speedup estimate "
-              f"x{doc['speedup_estimate']:.2f})")
+              f"{doc['parallel_rounds']} parallel, busy/wall "
+              f"{doc['busy_over_wall']:.2f})")
     return errors
 
 

@@ -224,11 +224,12 @@ struct FleetWorld
         serveTap = internTap("fleet.serve");
         edgeWireTap();
 
-        // Warm the tap intern table and the stat-counter registry
-        // from the setup thread (inject -> ack -> complete leaves the
-        // LR array clean), then pre-size the metrics arrays: the
-        // lanes bump these counters concurrently, and counter() must
-        // not reallocate under them.
+        // Exercise the GIC path once from the setup thread (inject ->
+        // ack -> complete leaves the LR array clean; the exported
+        // gic.* counts include this one injection), then pre-size the
+        // metrics arrays for every tap the components interned when
+        // they were built: the lanes bump these counters
+        // concurrently, and counter() must not reallocate under them.
         gic->injectVirq(0, 0, spiNicIrq);
         gic->guestAckVirq(0);
         gic->guestCompleteVirq(0, spiNicIrq);

@@ -181,7 +181,7 @@ MicrobenchSuite::run(MicroOp op, int iterations)
                                    tb.frontier(0)) + gap;
         tb.queue().scheduleAt(t0, [this, res, i, t0, iter] {
             issue(res->op, t0, [res, i, t0, iter](Cycles t1) {
-                res->cycles.add(static_cast<double>(t1 - t0));
+                res->cycles.add(t1 - t0);
                 (*iter)(i + 1);
             });
         });
@@ -198,7 +198,7 @@ MicrobenchSuite::run(MicroOp op, int iterations)
         vm1Loaded = false;
     }
     VIRTSIM_ASSERT(res->cycles.count() ==
-                   static_cast<std::size_t>(iterations),
+                   static_cast<std::uint64_t>(iterations),
                    "microbenchmark lost iterations: ",
                    res->cycles.count(), " of ", iterations);
     return result;

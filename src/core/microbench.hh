@@ -55,7 +55,7 @@ std::string describe(MicroOp op);
 struct MicroResult
 {
     MicroOp op;
-    SampleStat cycles; ///< per-iteration cost in cycles
+    HistogramStat cycles; ///< per-iteration cost in cycles (exact mean)
 };
 
 /** One configuration's full Table I column. */

@@ -24,12 +24,7 @@ struct RrTaps
     TapId opTcpRr = internTap("op.tcp_rr");
 };
 
-const RrTaps &
-rrTaps()
-{
-    static const RrTaps taps;
-    return taps;
-}
+constexpr auto &rrTaps = tapsOf<RrTaps>;
 
 /** Per-transaction timestamps, rebuilt from the trace after the run. */
 struct RrStamps
@@ -180,10 +175,10 @@ runNetperfRr(Testbed &tb, NetperfRrConfig cfg)
         sink.disable();
 
     // Aggregate the measured window (skip warmup). Legs accumulate
-    // in cycle-valued LatencyHistograms rather than SampleStat: the
-    // sums (and so the Table V means) stay exact integers, memory
-    // stays bounded at any transaction count, and the same
-    // histograms answer tail-quantile queries.
+    // in cycle-valued LatencyHistograms: the sums (and so the Table V
+    // means) stay exact integers, memory stays bounded at any
+    // transaction count, and the same histograms answer tail-quantile
+    // queries.
     NetperfRrResult out;
     LatencyHistogram s2r, r2s, r2vr, vr2vs, vs2s;
     const auto meanUs = [&f](const LatencyHistogram &h) {
@@ -273,13 +268,12 @@ runNetperfStream(Testbed &tb, NetperfStreamConfig cfg)
     out.seconds = cfg.windowSeconds;
     out.gbps = static_cast<double>(delivered_bytes) * 8.0 /
                cfg.windowSeconds / 1e9;
-    out.framesDropped =
-        tb.machine().stats().counterValue("nic.rx_dropped") +
-        tb.machine().stats().counterValue("netback.rx_no_request") +
-        tb.machine().stats().counterValue(
-            "netback.rx_backlog_dropped") +
-        tb.machine().stats().counterValue("vhost.rx_no_descriptor") +
-        tb.machine().stats().counterValue("vhost.rx_backlog_dropped");
+    out.framesDropped = 0;
+    for (const char *drop :
+         {"nic.rx_dropped", "netback.rx_no_request",
+          "netback.rx_backlog_dropped", "vhost.rx_no_descriptor",
+          "vhost.rx_backlog_dropped"})
+        out.framesDropped += tb.metrics().machine().value(internTap(drop));
     return out;
 }
 

@@ -233,8 +233,8 @@ renderShardSummary(const ShardProfile &profile)
         << " rounds (" << profile.parallelRounds << " parallel), "
         << formatFixed(
                static_cast<double>(profile.wallNs) / 1e6, 2)
-        << " ms wall, speedup x"
-        << formatFixed(profile.speedupEstimate(), 2) << "\n";
+        << " ms wall, busy/wall "
+        << formatFixed(profile.busyOverWall(), 2) << "\n";
 
     TextTable t({"lane", "events", "busy ms", "wait ms", "stall ms",
                  "stall rounds"});

@@ -14,6 +14,18 @@
 
 namespace virtsim {
 
+namespace {
+
+struct AppTaps
+{
+    TapId retransmits = internTap("app.retransmits");
+    TapId completed = internTap("app.completed");
+};
+
+constexpr auto &appTaps = tapsOf<AppTaps>;
+
+} // namespace
+
 double
 runCpuWorkload(Testbed &tb, const CpuWorkloadParams &p)
 {
@@ -157,7 +169,8 @@ runRequestResponse(Testbed &tb, const ServerAppParams &p)
                     static_cast<std::int64_t>(p.responseBytes);
                 lastProgress[kv.first] = t;
                 ++retransmits;
-                tb.machine().stats().counter("app.retransmits").inc();
+                tb.metrics().machine().counter(appTaps().retransmits)
+                    .inc();
                 tb.clientSend(t, req);
             }
         }
@@ -263,7 +276,7 @@ runRequestResponse(Testbed &tb, const ServerAppParams &p)
         acked.erase(pkt.flow);
         lastProgress.erase(pkt.flow);
         ++completed;
-        tb.machine().stats().counter("app.completed").inc();
+        tb.metrics().machine().counter(appTaps().completed).inc();
         if (t >= t_start && t < t_end)
             ++completed_in_window;
         if (t < t_end + tb.wireLatency()) {

@@ -11,20 +11,21 @@ struct GrantTaps
     TapId map = internTap("grant.map");
     TapId unmap = internTap("grant.unmap");
     TapId copy = internTap("grant.copy");
+    /** Machine-domain event counters. */
+    TapId granted = internTap("grant.granted");
+    TapId maps = internTap("grant.maps");
+    TapId unmaps = internTap("grant.unmaps");
+    TapId copies = internTap("grant.copies");
 };
 
-const GrantTaps &
-grantTaps()
-{
-    static const GrantTaps taps;
-    return taps;
-}
+constexpr auto &grantTaps = tapsOf<GrantTaps>;
 
 } // namespace
 
 GrantTable::GrantTable(Machine &m, Vm &granter)
     : mach(m), granter(granter)
 {
+    grantTaps();
 }
 
 GrantRef
@@ -36,7 +37,7 @@ GrantTable::grant(BufferId buf, bool readonly)
                    " own (owner: ", mach.memory().owner(buf), ")");
     const GrantRef ref = nextRef++;
     grants[ref] = Entry{buf, readonly, false};
-    mach.stats().counter("grant.granted").inc();
+    mach.metrics().machine().counter(grantTaps().granted).inc();
     return ref;
 }
 
@@ -57,7 +58,7 @@ GrantTable::map(GrantRef ref)
     VIRTSIM_ASSERT(it != grants.end(), "mapping unknown grant ", ref);
     VIRTSIM_ASSERT(!it->second.mapped, "double map of grant ", ref);
     it->second.mapped = true;
-    mach.stats().counter("grant.maps").inc();
+    mach.metrics().machine().counter(grantTaps().maps).inc();
     mach.trace().instant(mach.queue().now(), grantTaps().map,
                          TraceCat::Io, noTrack,
                          static_cast<std::uint64_t>(ref));
@@ -71,7 +72,7 @@ GrantTable::unmap(GrantRef ref)
     VIRTSIM_ASSERT(it != grants.end(), "unmapping unknown grant ", ref);
     VIRTSIM_ASSERT(it->second.mapped, "unmap of unmapped grant ", ref);
     it->second.mapped = false;
-    mach.stats().counter("grant.unmaps").inc();
+    mach.metrics().machine().counter(grantTaps().unmaps).inc();
     mach.trace().instant(mach.queue().now(), grantTaps().unmap,
                          TraceCat::Io, noTrack,
                          static_cast<std::uint64_t>(ref));
@@ -88,7 +89,7 @@ GrantTable::copy(GrantRef ref, std::uint32_t bytes)
 {
     auto it = grants.find(ref);
     VIRTSIM_ASSERT(it != grants.end(), "copy via unknown grant ", ref);
-    mach.stats().counter("grant.copies").inc();
+    mach.metrics().machine().counter(grantTaps().copies).inc();
     mach.trace().instant(mach.queue().now(), grantTaps().copy,
                          TraceCat::Io, noTrack, bytes);
     return grantCopyFixedCost() + mach.memory().copyCost(bytes);

@@ -4,6 +4,18 @@
 
 namespace virtsim {
 
+namespace {
+
+struct HvTaps
+{
+    TapId vmsCreated = internTap("hv.vms_created");
+    TapId started = internTap("hv.started");
+};
+
+constexpr auto &hvTaps = tapsOf<HvTaps>;
+
+} // namespace
+
 std::string
 to_string(HvType t)
 {
@@ -12,6 +24,7 @@ to_string(HvType t)
 
 Hypervisor::Hypervisor(Machine &m) : mach(m), wse(m.costs())
 {
+    hvTaps();
     wse.attachTrace(&m.trace());
 }
 
@@ -41,14 +54,14 @@ Hypervisor::createVm(const std::string &name, int n_vcpus,
     // VM's RAM (12 GiB per the paper's Section III configuration,
     // 4 KiB granules). Benchmarks touch only a window of it; the map
     // is kept sparse and filled on demand by fault handling instead.
-    stats().counter("hv.vms_created").inc();
+    machineMetrics().counter(hvTaps().vmsCreated).inc();
     return vm;
 }
 
 void
 Hypervisor::start()
 {
-    stats().counter("hv.started").inc();
+    machineMetrics().counter(hvTaps().started).inc();
 
     // Per-VM timeline gauges. Guest VMs only (_vms excludes Xen's
     // Dom0/idle domains), in creation order so exports are

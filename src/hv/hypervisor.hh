@@ -70,12 +70,15 @@ class Hypervisor
     virtual HvType type() const = 0;
 
     Machine &machine() { return mach; }
-    StatRegistry &stats() { return mach.stats(); }
     EventQueue &queue() { return mach.queue(); }
     WorldSwitchEngine &switchEngine() { return wse; }
 
     /** The machine's trace sink (the engine's spans go there too). */
     TraceSink &trace() { return mach.trace(); }
+
+    /** The machine-wide metrics domain: per-family event counters
+     *  (exits, hypercalls, injected vIRQs, ...). */
+    MetricsDomain &machineMetrics() { return mach.metrics().machine(); }
 
     /** Per-VM metrics domain, cached by VM id so hot hypervisor
      *  paths pay an array index, not a name lookup. */

@@ -32,14 +32,24 @@ struct KvmTaps
     TapId opVmSwitch = internTap("op.vm_switch");
     TapId opIoOut = internTap("op.io_out");
     TapId opIoIn = internTap("op.io_in");
+    /** Machine-domain event counters. */
+    TapId vmExits = internTap("kvm.vm_exits");
+    TapId vmEntries = internTap("kvm.vm_entries");
+    TapId hypercalls = internTap("kvm.hypercalls");
+    TapId irqchipTraps = internTap("kvm.irqchip_traps");
+    TapId spuriousWakeup = internTap("kvm.spurious_wakeup");
+    TapId virtualIpis = internTap("kvm.virtual_ipis");
+    TapId vmSwitches = internTap("kvm.vm_switches");
+    TapId ioSignalOut = internTap("kvm.io_signal_out");
+    TapId ioSignalIn = internTap("kvm.io_signal_in");
+    TapId rxNotificationSuppressed =
+        internTap("kvm.rx_notification_suppressed");
+    TapId txBackpressure = internTap("kvm.tx_backpressure");
+    TapId txKickSuppressed = internTap("kvm.tx_kick_suppressed");
+    TapId unhandledPhysIrq = internTap("kvm.unhandled_phys_irq");
 };
 
-const KvmTaps &
-kvmTaps()
-{
-    static const KvmTaps taps;
-    return taps;
-}
+constexpr auto &kvmTaps = tapsOf<KvmTaps>;
 
 } // namespace
 
@@ -50,6 +60,7 @@ KvmArm::KvmArm(Machine &m)
       net(NetstackCosts::linux(m.freq()))
 {
     VIRTSIM_ASSERT(m.arch() == Arch::Arm, "KvmArm needs an ARM machine");
+    kvmTaps();
     // Give every physical CPU a distinguishable host context so that
     // isolation tests can detect cross-context leaks.
     for (std::size_t i = 0; i < hostCtx.size(); ++i)
@@ -138,7 +149,7 @@ KvmArm::exitToHost(Cycles t, Vcpu &v)
     v.setState(VcpuState::InHyp);
     cpu.setMode(CpuMode::El1);
     cpu.setContext("host");
-    stats().counter("kvm.vm_exits").inc();
+    machineMetrics().counter(kvmTaps().vmExits).inc();
     const Cycles tr = cpu.charge(t, c);
     const KvmTaps &taps = kvmTaps();
     trace().span(t, tr, taps.exit, TraceCat::Switch,
@@ -188,7 +199,7 @@ KvmArm::enterVm(Cycles t, Vcpu &v)
     v.setState(VcpuState::Running);
     cpu.setMode(CpuMode::El1);
     cpu.setContext(v.name());
-    stats().counter("kvm.vm_entries").inc();
+    machineMetrics().counter(kvmTaps().vmEntries).inc();
     const Cycles tr = cpu.charge(t, c);
     const KvmTaps &taps = kvmTaps();
     trace().span(t, tr, taps.enter, TraceCat::Switch,
@@ -205,7 +216,7 @@ KvmArm::hypercall(Cycles t, Vcpu &v, Done done)
     const Cycles t2 =
         mach.cpu(v.pcpu()).charge(t1, params.hypercallHandler);
     const Cycles t3 = enterVm(t2, v);
-    stats().counter("kvm.hypercalls").inc();
+    machineMetrics().counter(kvmTaps().hypercalls).inc();
     vmMetrics(v.vm()).histogram(kvmTaps().trapHypercall).add(t3 - t);
     trace().span(t, t3, kvmTaps().opHypercall, TraceCat::Op,
                  static_cast<std::uint16_t>(v.pcpu()));
@@ -222,7 +233,7 @@ KvmArm::irqControllerTrap(Cycles t, Vcpu &v, Done done)
     const Cycles t2 =
         mach.cpu(v.pcpu()).charge(t1, params.vgicDistEmulation);
     const Cycles t3 = enterVm(t2, v);
-    stats().counter("kvm.irqchip_traps").inc();
+    machineMetrics().counter(kvmTaps().irqchipTraps).inc();
     vmMetrics(v.vm()).histogram(kvmTaps().trapIrqchip).add(t3 - t);
     trace().span(t, t3, kvmTaps().opIrqTrap, TraceCat::Op,
                  static_cast<std::uint16_t>(v.pcpu()));
@@ -240,7 +251,7 @@ KvmArm::flushAndResume(Cycles t, Vcpu &v, Done done)
     const IrqId virq = mach.gic().guestAckVirq(v.pcpu(), te);
     Cycles c = mach.gic().guestAckCost() + params.guestIrqDispatch;
     if (virq < 0)
-        stats().counter("kvm.spurious_wakeup").inc();
+        machineMetrics().counter(kvmTaps().spuriousWakeup).inc();
     const Cycles ta = cpu.charge(te, c);
     queue().scheduleAt(ta, [ta, done] { done(ta); });
     // After the handler runs the guest completes the interrupt — the
@@ -257,7 +268,7 @@ KvmArm::injectVirq(Cycles t, Vcpu &v, IrqId virq, Done done)
 {
     VgicDistributor &d = dist(v.vm());
     d.setPending(v.id(), virq);
-    stats().counter("kvm.virq_injected").inc();
+    machineMetrics().counter(kvmTaps().virqInjected).inc();
     vmMetrics(v.vm()).counter(kvmTaps().virqInjected).inc();
     trace().instant(t, kvmTaps().virqInjected, TraceCat::Irq,
                     static_cast<std::uint16_t>(v.pcpu()),
@@ -300,7 +311,7 @@ KvmArm::virtualIpi(Cycles t, Vcpu &src, Vcpu &dst, Done done)
 {
     VIRTSIM_ASSERT(src.pcpu() != dst.pcpu(),
                    "virtual IPI microbenchmark requires distinct pcpus");
-    stats().counter("kvm.virtual_ipis").inc();
+    machineMetrics().counter(kvmTaps().virtualIpis).inc();
 
     // Sender: the GICD_SGIR write traps; emulation happens in the
     // host kernel after a full exit.
@@ -358,7 +369,7 @@ KvmArm::vmSwitch(Cycles t, Vcpu &from, Vcpu &to, Done done)
     const Cycles t2 =
         mach.cpu(from.pcpu()).charge(t1, params.vcpuSwitchWork);
     const Cycles t3 = enterVm(t2, to);
-    stats().counter("kvm.vm_switches").inc();
+    machineMetrics().counter(kvmTaps().vmSwitches).inc();
     vmMetrics(to.vm()).histogram(kvmTaps().trapVmSwitch).add(t3 - t);
     trace().span(t, t3, kvmTaps().opVmSwitch, TraceCat::Op,
                  static_cast<std::uint16_t>(from.pcpu()));
@@ -378,7 +389,7 @@ KvmArm::ioSignalOut(Cycles t, Vcpu &v, Done done)
     enterVm(t2, v); // guest resumes; off the measured path
     PhysicalCpu &worker = mach.cpu(_vhost->params().workerPcpu);
     const Cycles t3 = worker.charge(t2, params.vhostNotifyLatency);
-    stats().counter("kvm.io_signal_out").inc();
+    machineMetrics().counter(kvmTaps().ioSignalOut).inc();
     vmMetrics(v.vm()).histogram(kvmTaps().trapIoOut).add(t3 - t);
     trace().span(t, t3, kvmTaps().opIoOut, TraceCat::Op,
                  static_cast<std::uint16_t>(v.pcpu()));
@@ -393,7 +404,7 @@ KvmArm::ioSignalIn(Cycles t, Vcpu &v, Done done)
     // injection path (wake or kick depending on the VCPU state).
     PhysicalCpu &worker = mach.cpu(_vhost->params().workerPcpu);
     const Cycles t1 = worker.charge(t, params.irqfdInject);
-    stats().counter("kvm.io_signal_in").inc();
+    machineMetrics().counter(kvmTaps().ioSignalIn).inc();
     trace().instant(t, kvmTaps().ioIn, TraceCat::Io,
                     static_cast<std::uint16_t>(v.pcpu()));
     Done wrapped = [this, t,
@@ -480,7 +491,7 @@ KvmArm::notifyGuestRx(Cycles t, Vm &vm, const Packet &pkt, Done done)
         // poll loop reaps this descriptor too. Every event outside
         // the window pays a full interrupt — the per-event delivery
         // cost that saturates VCPU0 in Section V.
-        stats().counter("kvm.rx_notification_suppressed").inc();
+        machineMetrics().counter(kvmTaps().rxNotificationSuppressed).inc();
         const Cycles tg = cpu.charge(t, params.guestDriverRxPop);
         queue().scheduleAt(tg, [tg, guest_pop] { guest_pop(tg); });
         return;
@@ -508,7 +519,7 @@ KvmArm::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt, Done done)
         // Ring full: the virtio driver stops the queue until the
         // backend frees descriptors (TCP backpressure).
         txBacklog.emplace_back(&v, std::make_pair(pkt, std::move(done)));
-        stats().counter("kvm.tx_backpressure").inc();
+        machineMetrics().counter(kvmTaps().txBackpressure).inc();
         return;
     }
     PhysicalCpu &cpu = mach.cpu(v.pcpu());
@@ -525,7 +536,7 @@ KvmArm::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt, Done done)
     if (txPumpActive) {
         // Backend is actively draining the ring: notification
         // suppressed, no kick, no exit.
-        stats().counter("kvm.tx_kick_suppressed").inc();
+        machineMetrics().counter(kvmTaps().txKickSuppressed).inc();
         return;
     }
 
@@ -592,7 +603,7 @@ KvmArm::onPhysIrq(Cycles t, PcpuId cpu, IrqId irq)
             injectVirq(t, *ctx.loaded, ppiVtimerIrq, [](Cycles) {});
         return;
     }
-    stats().counter("kvm.unhandled_phys_irq").inc();
+    machineMetrics().counter(kvmTaps().unhandledPhysIrq).inc();
 }
 
 void

@@ -13,19 +13,19 @@ struct VheTaps
     TapId worldSwitch = internTap("kvm.world_switch");
     TapId trapVmSwitch = internTap("kvm.trap.vm_switch");
     TapId opVmSwitch = internTap("op.vm_switch");
+    /** Machine-domain event counters. */
+    TapId vmExits = internTap("kvm.vm_exits");
+    TapId vmEntries = internTap("kvm.vm_entries");
+    TapId vmSwitches = internTap("kvm.vm_switches");
 };
 
-const VheTaps &
-vheTaps()
-{
-    static const VheTaps taps;
-    return taps;
-}
+constexpr auto &vheTaps = tapsOf<VheTaps>;
 
 } // namespace
 
 KvmArmVhe::KvmArmVhe(Machine &m) : KvmArm(m)
 {
+    vheTaps();
 }
 
 TapId
@@ -58,7 +58,7 @@ KvmArmVhe::exitToHost(Cycles t, Vcpu &v)
     v.setState(VcpuState::InHyp);
     cpu.setMode(CpuMode::El2);
     cpu.setContext("host-el2");
-    stats().counter("kvm.vm_exits").inc();
+    machineMetrics().counter(vheTaps().vmExits).inc();
     const Cycles tr = cpu.charge(t, c);
     const VheTaps &taps = vheTaps();
     trace().span(t, tr, taps.exit, TraceCat::Switch,
@@ -99,7 +99,7 @@ KvmArmVhe::enterVm(Cycles t, Vcpu &v)
     v.setState(VcpuState::Running);
     cpu.setMode(CpuMode::El1);
     cpu.setContext(v.name());
-    stats().counter("kvm.vm_entries").inc();
+    machineMetrics().counter(vheTaps().vmEntries).inc();
     const Cycles tr = cpu.charge(t, c);
     const VheTaps &taps = vheTaps();
     trace().span(t, tr, taps.enter, TraceCat::Switch,
@@ -132,7 +132,7 @@ KvmArmVhe::vmSwitch(Cycles t, Vcpu &from, Vcpu &to, Done done)
                      t1 + c);
     const Cycles t2 = cpu.charge(t1, c);
     const Cycles t3 = enterVm(t2, to);
-    stats().counter("kvm.vm_switches").inc();
+    machineMetrics().counter(vheTaps().vmSwitches).inc();
     vmMetrics(to.vm()).histogram(vheTaps().trapVmSwitch).add(t3 - t);
     trace().span(t, t3, vheTaps().opVmSwitch, TraceCat::Op,
                  static_cast<std::uint16_t>(from.pcpu()));

@@ -26,14 +26,26 @@ struct KvmX86Taps
     TapId opVmSwitch = internTap("op.vm_switch");
     TapId opIoOut = internTap("op.io_out");
     TapId opIoIn = internTap("op.io_in");
+    /** Machine-domain event counters. */
+    TapId vmExits = internTap("kvm.vm_exits");
+    TapId vmEntries = internTap("kvm.vm_entries");
+    TapId hypercalls = internTap("kvm.hypercalls");
+    TapId irqchipTraps = internTap("kvm.irqchip_traps");
+    TapId spuriousWakeup = internTap("kvm.spurious_wakeup");
+    TapId virqCompleteTrap = internTap("kvm.virq_complete_trap");
+    TapId virtualIpis = internTap("kvm.virtual_ipis");
+    TapId virqCompleteVapic = internTap("kvm.virq_complete_vapic");
+    TapId vmSwitches = internTap("kvm.vm_switches");
+    TapId ioSignalOut = internTap("kvm.io_signal_out");
+    TapId ioSignalIn = internTap("kvm.io_signal_in");
+    TapId rxNotificationSuppressed =
+        internTap("kvm.rx_notification_suppressed");
+    TapId txBackpressure = internTap("kvm.tx_backpressure");
+    TapId txKickSuppressed = internTap("kvm.tx_kick_suppressed");
+    TapId unhandledPhysIrq = internTap("kvm.unhandled_phys_irq");
 };
 
-const KvmX86Taps &
-kvmX86Taps()
-{
-    static const KvmX86Taps taps;
-    return taps;
-}
+constexpr auto &kvmX86Taps = tapsOf<KvmX86Taps>;
 
 } // namespace
 
@@ -44,6 +56,7 @@ KvmX86::KvmX86(Machine &m)
       net(NetstackCosts::linux(m.freq()))
 {
     VIRTSIM_ASSERT(m.arch() == Arch::X86, "KvmX86 needs an x86 machine");
+    kvmX86Taps();
     for (std::size_t i = 0; i < hostCtx.size(); ++i)
         hostCtx[i].regs.fillPattern(0x860000 + i);
 }
@@ -114,7 +127,7 @@ KvmX86::exitToHost(Cycles t, Vcpu &v)
     v.setState(VcpuState::InHyp);
     cpu.setMode(CpuMode::KernelRoot);
     cpu.setContext("host");
-    stats().counter("kvm.vm_exits").inc();
+    machineMetrics().counter(kvmX86Taps().vmExits).inc();
     vmMetrics(v.vm()).counter(kvmX86Taps().worldSwitch).inc();
     cpuMetrics(v.pcpu()).counter(kvmX86Taps().worldSwitch).inc();
     return cpu.charge(t, c);
@@ -147,7 +160,7 @@ KvmX86::enterVm(Cycles t, Vcpu &v)
     v.setState(VcpuState::Running);
     cpu.setMode(CpuMode::KernelNonRoot);
     cpu.setContext(v.name());
-    stats().counter("kvm.vm_entries").inc();
+    machineMetrics().counter(kvmX86Taps().vmEntries).inc();
     vmMetrics(v.vm()).counter(kvmX86Taps().worldSwitch).inc();
     cpuMetrics(v.pcpu()).counter(kvmX86Taps().worldSwitch).inc();
     return cpu.charge(t, c);
@@ -160,7 +173,7 @@ KvmX86::hypercall(Cycles t, Vcpu &v, Done done)
     const Cycles t2 =
         mach.cpu(v.pcpu()).charge(t1, params.hypercallHandler);
     const Cycles t3 = enterVm(t2, v);
-    stats().counter("kvm.hypercalls").inc();
+    machineMetrics().counter(kvmX86Taps().hypercalls).inc();
     vmMetrics(v.vm()).histogram(kvmX86Taps().trapHypercall)
         .add(t3 - t);
     trace().span(t, t3, kvmX86Taps().opHypercall, TraceCat::Op,
@@ -175,7 +188,7 @@ KvmX86::irqControllerTrap(Cycles t, Vcpu &v, Done done)
     const Cycles t2 =
         mach.cpu(v.pcpu()).charge(t1, params.apicEmulation);
     const Cycles t3 = enterVm(t2, v);
-    stats().counter("kvm.irqchip_traps").inc();
+    machineMetrics().counter(kvmX86Taps().irqchipTraps).inc();
     vmMetrics(v.vm()).histogram(kvmX86Taps().trapIrqchip)
         .add(t3 - t);
     trace().span(t, t3, kvmX86Taps().opIrqTrap, TraceCat::Op,
@@ -190,7 +203,7 @@ KvmX86::flushAndResume(Cycles t, Vcpu &v, Done done)
     PhysicalCpu &cpu = mach.cpu(v.pcpu());
     const IrqId virq = mach.apic().guestAckVirq(v.pcpu());
     if (virq < 0)
-        stats().counter("kvm.spurious_wakeup").inc();
+        machineMetrics().counter(kvmX86Taps().spuriousWakeup).inc();
     const Cycles ta = cpu.charge(
         te, mach.costs().irqChipRegAccess + params.guestIrqDispatch);
     queue().scheduleAt(ta, [ta, done] { done(ta); });
@@ -201,7 +214,7 @@ KvmX86::flushAndResume(Cycles t, Vcpu &v, Done done)
     if (virq >= 0 && !mach.apic().vApicEnabled()) {
         cpu.charge(ta, mach.costs().vmexitHw + params.eoiEmulation +
                            mach.costs().vmentryHw);
-        stats().counter("kvm.virq_complete_trap").inc();
+        machineMetrics().counter(kvmX86Taps().virqCompleteTrap).inc();
     }
     return ta;
 }
@@ -210,7 +223,7 @@ void
 KvmX86::injectVirq(Cycles t, Vcpu &v, IrqId virq, Done done)
 {
     dist(v.vm()).setPending(v.id(), virq);
-    stats().counter("kvm.virq_injected").inc();
+    machineMetrics().counter(kvmX86Taps().virqInjected).inc();
     vmMetrics(v.vm()).counter(kvmX86Taps().virqInjected).inc();
 
     switch (v.state()) {
@@ -243,7 +256,7 @@ KvmX86::virtualIpi(Cycles t, Vcpu &src, Vcpu &dst, Done done)
 {
     VIRTSIM_ASSERT(src.pcpu() != dst.pcpu(),
                    "virtual IPI microbenchmark requires distinct pcpus");
-    stats().counter("kvm.virtual_ipis").inc();
+    machineMetrics().counter(kvmX86Taps().virtualIpis).inc();
     // ICR write traps; emulation + kick in the host.
     const Cycles t1 = exitToHost(t, src);
     PhysicalCpu &scpu = mach.cpu(src.pcpu());
@@ -270,7 +283,7 @@ KvmX86::virqComplete(Cycles t, Vcpu &v, Done done)
         PhysicalCpu &cpu = mach.cpu(v.pcpu());
         const Cycles t1 =
             cpu.charge(t, mach.costs().irqChipRegAccess);
-        stats().counter("kvm.virq_complete_vapic").inc();
+        machineMetrics().counter(kvmX86Taps().virqCompleteVapic).inc();
         queue().scheduleAt(t1, [t1, done] { done(t1); });
         return;
     }
@@ -278,7 +291,7 @@ KvmX86::virqComplete(Cycles t, Vcpu &v, Done done)
     const Cycles t2 =
         mach.cpu(v.pcpu()).charge(t1, params.eoiEmulation);
     const Cycles t3 = enterVm(t2, v);
-    stats().counter("kvm.virq_complete_trap").inc();
+    machineMetrics().counter(kvmX86Taps().virqCompleteTrap).inc();
     vmMetrics(v.vm()).histogram(kvmX86Taps().trapEoi).add(t3 - t);
     queue().scheduleAt(t3, [t3, done] { done(t3); });
 }
@@ -295,7 +308,7 @@ KvmX86::vmSwitch(Cycles t, Vcpu &from, Vcpu &to, Done done)
                           .charge(t1, params.vcpuSwitchWork +
                                           mach.costs().vmcsSwitch);
     const Cycles t3 = enterVm(t2, to);
-    stats().counter("kvm.vm_switches").inc();
+    machineMetrics().counter(kvmX86Taps().vmSwitches).inc();
     vmMetrics(to.vm()).histogram(kvmX86Taps().trapVmSwitch)
         .add(t3 - t);
     trace().span(t, t3, kvmX86Taps().opVmSwitch, TraceCat::Op,
@@ -315,7 +328,7 @@ KvmX86::ioSignalOut(Cycles t, Vcpu &v, Done done)
     const Cycles t2 = cpu.charge(
         t, mach.costs().vmexitHw + params.ioeventfdSignal);
     cpu.charge(t2, mach.costs().vmentryHw);
-    stats().counter("kvm.io_signal_out").inc();
+    machineMetrics().counter(kvmX86Taps().ioSignalOut).inc();
     trace().span(t, t2, kvmX86Taps().opIoOut, TraceCat::Op,
                  static_cast<std::uint16_t>(v.pcpu()));
     queue().scheduleAt(t2, [t2, done] { done(t2); });
@@ -327,7 +340,7 @@ KvmX86::ioSignalIn(Cycles t, Vcpu &v, Done done)
     VIRTSIM_ASSERT(_vhost, "ioSignalIn requires an attached vNIC");
     PhysicalCpu &worker = mach.cpu(_vhost->params().workerPcpu);
     const Cycles t1 = worker.charge(t, params.irqfdInject);
-    stats().counter("kvm.io_signal_in").inc();
+    machineMetrics().counter(kvmX86Taps().ioSignalIn).inc();
     Done wrapped = [this, t, track = static_cast<std::uint16_t>(v.pcpu()),
                     done](Cycles ta) {
         trace().span(t, ta, kvmX86Taps().opIoIn, TraceCat::Op, track);
@@ -396,7 +409,7 @@ KvmX86::notifyGuestRx(Cycles t, Vm &vm, const Packet &pkt, Done done)
     };
 
     if (v.state() != VcpuState::Idle && cpu.frontier() > t) {
-        stats().counter("kvm.rx_notification_suppressed").inc();
+        machineMetrics().counter(kvmX86Taps().rxNotificationSuppressed).inc();
         const Cycles tg = cpu.charge(t, params.guestDriverRxPop);
         queue().scheduleAt(tg, [tg, guest_pop] { guest_pop(tg); });
         return;
@@ -422,7 +435,7 @@ KvmX86::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt, Done done)
         // Ring full: the virtio driver stops the queue until the
         // backend frees descriptors (TCP backpressure).
         txBacklog.emplace_back(&v, std::make_pair(pkt, std::move(done)));
-        stats().counter("kvm.tx_backpressure").inc();
+        machineMetrics().counter(kvmX86Taps().txBackpressure).inc();
         return;
     }
     PhysicalCpu &cpu = mach.cpu(v.pcpu());
@@ -434,7 +447,7 @@ KvmX86::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt, Done done)
     txDone[pkt.seq] = std::move(done);
 
     if (txPumpActive) {
-        stats().counter("kvm.tx_kick_suppressed").inc();
+        machineMetrics().counter(kvmX86Taps().txKickSuppressed).inc();
         return;
     }
 
@@ -487,7 +500,7 @@ KvmX86::onPhysIrq(Cycles t, PcpuId cpu, IrqId irq)
         handleNicIrq(t, cpu);
         return;
     }
-    stats().counter("kvm.unhandled_phys_irq").inc();
+    machineMetrics().counter(kvmX86Taps().unhandledPhysIrq).inc();
 }
 
 void

@@ -13,18 +13,14 @@ struct VirtioTaps
     TapId hostPush = internTap("virtio.host_push");
 };
 
-const VirtioTaps &
-virtioTaps()
-{
-    static const VirtioTaps taps;
-    return taps;
-}
+constexpr auto &virtioTaps = tapsOf<VirtioTaps>;
 
 } // namespace
 
 VirtioQueue::VirtioQueue(Machine &m, Vm &guest, std::size_t capacity)
     : mach(m), guest(guest), capacity(capacity)
 {
+    virtioTaps();
 }
 
 Cycles
@@ -35,7 +31,7 @@ VirtioQueue::guestPost(const VirtioDesc &desc)
                    mach.memory().owner(desc.buf) == guest.name(),
                    "guest posting buffer it does not own");
     avail.push_back(desc);
-    mach.stats().counter("virtio.guest_post").inc();
+    mach.metrics().machine().counter(virtioTaps().guestPost).inc();
     mach.trace().instant(mach.queue().now(), virtioTaps().guestPost,
                          TraceCat::Io, noTrack, desc.pkt.seq);
     return ringOpCost();
@@ -64,7 +60,7 @@ VirtioQueue::hostPop(VirtioDesc &out, bool &ok)
     out = avail.front();
     avail.pop_front();
     ok = true;
-    mach.stats().counter("virtio.host_pop").inc();
+    mach.metrics().machine().counter(virtioTaps().hostPop).inc();
     mach.trace().instant(mach.queue().now(), virtioTaps().hostPop,
                          TraceCat::Io, noTrack, out.pkt.seq);
     // Zero copy: the host accesses the guest buffer directly — legal
@@ -77,7 +73,7 @@ Cycles
 VirtioQueue::hostPushUsed(const VirtioDesc &desc)
 {
     used.push_back(desc);
-    mach.stats().counter("virtio.host_push").inc();
+    mach.metrics().machine().counter(virtioTaps().hostPush).inc();
     mach.trace().instant(mach.queue().now(), virtioTaps().hostPush,
                          TraceCat::Io, noTrack, desc.pkt.seq);
     return ringOpCost();

@@ -24,12 +24,7 @@ struct SwitchTaps
     }
 };
 
-const SwitchTaps &
-switchTaps()
-{
-    static const SwitchTaps taps;
-    return taps;
-}
+constexpr auto &switchTaps = tapsOf<SwitchTaps>;
 
 } // namespace
 

@@ -30,14 +30,26 @@ struct XenTaps
     TapId opVmSwitch = internTap("op.vm_switch");
     TapId opIoOut = internTap("op.io_out");
     TapId opIoIn = internTap("op.io_in");
+    /** Machine-domain event counters. */
+    TapId traps = internTap("xen.traps");
+    TapId idleDomainSwitches = internTap("xen.idle_domain_switches");
+    TapId domainSwitches = internTap("xen.domain_switches");
+    TapId hypercalls = internTap("xen.hypercalls");
+    TapId irqchipTraps = internTap("xen.irqchip_traps");
+    TapId virtualIpis = internTap("xen.virtual_ipis");
+    TapId vmSwitches = internTap("xen.vm_switches");
+    TapId ioSignalOut = internTap("xen.io_signal_out");
+    TapId ioSignalIn = internTap("xen.io_signal_in");
+    TapId rxEventSuppressed = internTap("xen.rx_event_suppressed");
+    TapId txBackpressure = internTap("xen.tx_backpressure");
+    TapId txKickSuppressed = internTap("xen.tx_kick_suppressed");
+    TapId dom0Blocked = internTap("xen.dom0_blocked");
+    TapId unhandledPhysIrq = internTap("xen.unhandled_phys_irq");
+    TapId spuriousKick = internTap("xen.spurious_kick");
+    TapId vcpuBlocked = internTap("xen.vcpu_blocked");
 };
 
-const XenTaps &
-xenTaps()
-{
-    static const XenTaps taps;
-    return taps;
-}
+constexpr auto &xenTaps = tapsOf<XenTaps>;
 
 } // namespace
 
@@ -48,6 +60,7 @@ XenArm::XenArm(Machine &m)
       net(NetstackCosts::linux(m.freq()))
 {
     VIRTSIM_ASSERT(m.arch() == Arch::Arm, "XenArm needs an ARM machine");
+    xenTaps();
     // Dom0: 4 VCPUs on the upper half of the machine (Section III:
     // Dom0 capped at 4 VCPUs / 4 GB, pinned away from the DomU).
     const int half = m.numCpus() / 2;
@@ -127,7 +140,7 @@ XenArm::trapToXen(Cycles t, Vcpu &v)
     v.savedRegs().copyClassFrom(cpu.regs(), RegClass::Gp);
     s.inGuest = false;
     cpu.setMode(CpuMode::El2);
-    stats().counter("xen.traps").inc();
+    machineMetrics().counter(xenTaps().traps).inc();
     const Cycles tr = cpu.charge(t, c);
     const XenTaps &taps = xenTaps();
     trace().span(t, tr, taps.trap, TraceCat::Switch,
@@ -171,7 +184,7 @@ XenArm::switchDomains(Cycles t, Vcpu *from, Vcpu &to, bool charge_sched)
     } else {
         // Leaving the idle domain: next to nothing to save.
         c += cm.cost(RegClass::Gp).save;
-        stats().counter("xen.idle_domain_switches").inc();
+        machineMetrics().counter(xenTaps().idleDomainSwitches).inc();
     }
     if (charge_sched)
         c += params.schedWork;
@@ -195,7 +208,7 @@ XenArm::switchDomains(Cycles t, Vcpu *from, Vcpu &to, bool charge_sched)
     to.setLoaded(true);
     to.setState(VcpuState::Running);
     cpu.setContext(to.name());
-    stats().counter("xen.domain_switches").inc();
+    machineMetrics().counter(xenTaps().domainSwitches).inc();
     const Cycles tr = cpu.charge(t, c);
     const XenTaps &taps = xenTaps();
     trace().span(t, tr, taps.domainSwitch, TraceCat::Switch,
@@ -232,7 +245,7 @@ XenArm::hypercall(Cycles t, Vcpu &v, Done done)
     // GP restore, eret (Table II: 376 cycles).
     const Cycles t1 = trapToXen(t, v);
     const Cycles t2 = resumeVm(t1, v);
-    stats().counter("xen.hypercalls").inc();
+    machineMetrics().counter(xenTaps().hypercalls).inc();
     vmMetrics(v.vm()).histogram(xenTaps().trapHypercall).add(t2 - t);
     trace().span(t, t2, xenTaps().opHypercall, TraceCat::Op,
                  static_cast<std::uint16_t>(v.pcpu()));
@@ -248,7 +261,7 @@ XenArm::irqControllerTrap(Cycles t, Vcpu &v, Done done)
     const Cycles t2 =
         mach.cpu(v.pcpu()).charge(t1, params.vgicDistEmulation);
     const Cycles t3 = resumeVm(t2, v);
-    stats().counter("xen.irqchip_traps").inc();
+    machineMetrics().counter(xenTaps().irqchipTraps).inc();
     vmMetrics(v.vm()).histogram(xenTaps().trapIrqchip).add(t3 - t);
     trace().span(t, t3, xenTaps().opIrqTrap, TraceCat::Op,
                  static_cast<std::uint16_t>(v.pcpu()));
@@ -296,7 +309,7 @@ void
 XenArm::injectVirq(Cycles t, Vcpu &v, IrqId virq, Done done)
 {
     dist(v.vm()).setPending(v.id(), virq);
-    stats().counter("xen.virq_injected").inc();
+    machineMetrics().counter(xenTaps().virqInjected).inc();
     vmMetrics(v.vm()).counter(xenTaps().virqInjected).inc();
     trace().instant(t, xenTaps().virqInjected, TraceCat::Irq,
                     static_cast<std::uint16_t>(v.pcpu()),
@@ -336,7 +349,7 @@ XenArm::virtualIpi(Cycles t, Vcpu &src, Vcpu &dst, Done done)
 {
     VIRTSIM_ASSERT(src.pcpu() != dst.pcpu(),
                    "virtual IPI microbenchmark requires distinct pcpus");
-    stats().counter("xen.virtual_ipis").inc();
+    machineMetrics().counter(xenTaps().virtualIpis).inc();
 
     // Sender: GICD_SGIR write traps into EL2; the SGI emulation runs
     // right there.
@@ -389,7 +402,7 @@ XenArm::vmSwitch(Cycles t, Vcpu &from, Vcpu &to, Done done)
     s.inGuest = false;
     from.setState(VcpuState::Idle);
     const Cycles t2 = switchDomains(t1, &from, to, true);
-    stats().counter("xen.vm_switches").inc();
+    machineMetrics().counter(xenTaps().vmSwitches).inc();
     vmMetrics(to.vm()).histogram(xenTaps().trapVmSwitch).add(t2 - t);
     trace().span(t, t2, xenTaps().opVmSwitch, TraceCat::Op,
                  static_cast<std::uint16_t>(from.pcpu()));
@@ -406,7 +419,7 @@ XenArm::ioSignalOut(Cycles t, Vcpu &v, Done done)
     const Cycles t1 = trapToXen(t, v);
     PhysicalCpu &cpu = mach.cpu(v.pcpu());
     const Cycles t2 = cpu.charge(t1, evtchn->notify(portDom0));
-    stats().counter("xen.io_signal_out").inc();
+    machineMetrics().counter(xenTaps().ioSignalOut).inc();
     vmMetrics(v.vm()).histogram(xenTaps().trapIoOut).add(t2 - t);
 
     Done wrapped = [this, t,
@@ -446,7 +459,7 @@ XenArm::ioSignalIn(Cycles t, Vcpu &v, Done done)
     const Cycles t1 = trapToXen(tr, d0);
     PhysicalCpu &dcpu = mach.cpu(d0.pcpu());
     const Cycles t2 = dcpu.charge(t1, evtchn->notify(portDomU));
-    stats().counter("xen.io_signal_in").inc();
+    machineMetrics().counter(xenTaps().ioSignalIn).inc();
     Done wrapped = [this, t,
                     track = static_cast<std::uint16_t>(v.pcpu()),
                     done](Cycles ta) {
@@ -538,7 +551,7 @@ XenArm::notifyGuestRx(Cycles t, Vm &vm, const Packet &pkt, Done done)
 
     if (v.state() != VcpuState::Idle && t < rxQuietUntil) {
         // Event channel masked while the frontend polls the ring.
-        stats().counter("xen.rx_event_suppressed").inc();
+        machineMetrics().counter(xenTaps().rxEventSuppressed).inc();
         guest_pop(t);
         return;
     }
@@ -558,7 +571,7 @@ XenArm::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt, Done done)
         // Ring full: netfront blocks the frame until netback frees
         // slots (TCP backpressure).
         txBacklog.emplace_back(&v, std::make_pair(pkt, std::move(done)));
-        stats().counter("xen.tx_backpressure").inc();
+        machineMetrics().counter(xenTaps().txBackpressure).inc();
         return;
     }
     PhysicalCpu &cpu = mach.cpu(v.pcpu());
@@ -580,7 +593,7 @@ XenArm::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt, Done done)
     txBufs[pkt.seq] = std::make_pair(req.gref, buf);
 
     if (txPumpActive) {
-        stats().counter("xen.tx_kick_suppressed").inc();
+        machineMetrics().counter(xenTaps().txKickSuppressed).inc();
         return;
     }
 
@@ -675,7 +688,7 @@ XenArm::scheduleDom0IdleCheck(Cycles t)
         d0.setState(VcpuState::Idle);
         d0.setLoaded(false);
         mach.cpu(p).setContext("idle-domain");
-        stats().counter("xen.dom0_blocked").inc();
+        machineMetrics().counter(xenTaps().dom0Blocked).inc();
     });
 }
 
@@ -696,7 +709,7 @@ XenArm::onPhysIrq(Cycles t, PcpuId cpu, IrqId irq)
             injectVirq(t, *s.current, ppiVtimerIrq, [](Cycles) {});
         return;
     }
-    stats().counter("xen.unhandled_phys_irq").inc();
+    machineMetrics().counter(xenTaps().unhandledPhysIrq).inc();
 }
 
 void
@@ -704,7 +717,7 @@ XenArm::handleKick(Cycles t, PcpuId cpu)
 {
     auto &q = kickActions[static_cast<std::size_t>(cpu)];
     if (q.empty()) {
-        stats().counter("xen.spurious_kick").inc();
+        machineMetrics().counter(xenTaps().spuriousKick).inc();
         return;
     }
     auto action = std::move(q.front());
@@ -787,7 +800,7 @@ XenArm::blockVcpu(Vcpu &v)
     v.setLoaded(false);
     v.setState(VcpuState::Idle);
     mach.cpu(v.pcpu()).setContext("idle-domain");
-    stats().counter("xen.vcpu_blocked").inc();
+    machineMetrics().counter(xenTaps().vcpuBlocked).inc();
 }
 
 } // namespace virtsim

@@ -4,9 +4,24 @@
 
 namespace virtsim {
 
+namespace {
+
+struct XenPvTaps
+{
+    TapId frontPost = internTap("xenpv.front_post");
+    TapId backPop = internTap("xenpv.back_pop");
+    TapId backRespond = internTap("xenpv.back_respond");
+    TapId evtchnNotify = internTap("xenpv.evtchn_notify");
+};
+
+constexpr auto &xenPvTaps = tapsOf<XenPvTaps>;
+
+} // namespace
+
 XenPvRing::XenPvRing(Machine &m, std::size_t capacity)
     : mach(m), capacity(capacity)
 {
+    xenPvTaps();
 }
 
 Cycles
@@ -14,7 +29,7 @@ XenPvRing::frontPost(const PvRequest &req)
 {
     VIRTSIM_ASSERT(!full(), "PV ring overflow");
     reqs.push_back(req);
-    mach.stats().counter("xenpv.front_post").inc();
+    mach.metrics().machine().counter(xenPvTaps().frontPost).inc();
     return ringOpCost();
 }
 
@@ -28,7 +43,7 @@ XenPvRing::backPop(PvRequest &out, bool &ok)
     out = reqs.front();
     reqs.pop_front();
     ok = true;
-    mach.stats().counter("xenpv.back_pop").inc();
+    mach.metrics().machine().counter(xenPvTaps().backPop).inc();
     return ringOpCost() + mach.costs().cacheLineTransfer;
 }
 
@@ -36,7 +51,7 @@ Cycles
 XenPvRing::backRespond(const PvRequest &req)
 {
     resps.push_back(req);
-    mach.stats().counter("xenpv.back_respond").inc();
+    mach.metrics().machine().counter(xenPvTaps().backRespond).inc();
     return ringOpCost();
 }
 
@@ -62,6 +77,7 @@ XenPvRing::ringOpCost() const
 
 EventChannel::EventChannel(Machine &m) : mach(m)
 {
+    xenPvTaps();
 }
 
 int
@@ -78,7 +94,7 @@ EventChannel::notify(int port)
                    static_cast<std::size_t>(port) < bits.size(),
                    "bad event channel port ", port);
     bits[static_cast<std::size_t>(port)] = true;
-    mach.stats().counter("xenpv.evtchn_notify").inc();
+    mach.metrics().machine().counter(xenPvTaps().evtchnNotify).inc();
     // Setting the pending bit in the shared info page.
     return 70;
 }

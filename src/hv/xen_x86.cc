@@ -25,14 +25,28 @@ struct XenX86Taps
     TapId opVmSwitch = internTap("op.vm_switch");
     TapId opIoOut = internTap("op.io_out");
     TapId opIoIn = internTap("op.io_in");
+    /** Machine-domain event counters. */
+    TapId traps = internTap("xen.traps");
+    TapId idleDomainSwitches = internTap("xen.idle_domain_switches");
+    TapId domainSwitches = internTap("xen.domain_switches");
+    TapId hypercalls = internTap("xen.hypercalls");
+    TapId irqchipTraps = internTap("xen.irqchip_traps");
+    TapId virqCompleteTrap = internTap("xen.virq_complete_trap");
+    TapId virtualIpis = internTap("xen.virtual_ipis");
+    TapId virqCompleteVapic = internTap("xen.virq_complete_vapic");
+    TapId vmSwitches = internTap("xen.vm_switches");
+    TapId ioSignalOut = internTap("xen.io_signal_out");
+    TapId ioSignalIn = internTap("xen.io_signal_in");
+    TapId rxEventSuppressed = internTap("xen.rx_event_suppressed");
+    TapId txBackpressure = internTap("xen.tx_backpressure");
+    TapId txKickSuppressed = internTap("xen.tx_kick_suppressed");
+    TapId dom0Blocked = internTap("xen.dom0_blocked");
+    TapId unhandledPhysIrq = internTap("xen.unhandled_phys_irq");
+    TapId spuriousKick = internTap("xen.spurious_kick");
+    TapId vcpuBlocked = internTap("xen.vcpu_blocked");
 };
 
-const XenX86Taps &
-xenX86Taps()
-{
-    static const XenX86Taps taps;
-    return taps;
-}
+constexpr auto &xenX86Taps = tapsOf<XenX86Taps>;
 
 } // namespace
 
@@ -43,6 +57,7 @@ XenX86::XenX86(Machine &m)
       net(NetstackCosts::linux(m.freq()))
 {
     VIRTSIM_ASSERT(m.arch() == Arch::X86, "XenX86 needs an x86 machine");
+    xenX86Taps();
     const int half = m.numCpus() / 2;
     std::vector<PcpuId> dom0_pins;
     for (int i = 0; i < half; ++i)
@@ -121,7 +136,7 @@ XenX86::trapToXen(Cycles t, Vcpu &v)
     const Cycles c = mach.costs().vmexitHw + params.hypercallDispatch;
     s.inGuest = false;
     cpu.setMode(CpuMode::KernelRoot);
-    stats().counter("xen.traps").inc();
+    machineMetrics().counter(xenX86Taps().traps).inc();
     vmMetrics(v.vm()).counter(xenX86Taps().worldSwitch).inc();
     cpuMetrics(v.pcpu()).counter(xenX86Taps().worldSwitch).inc();
     return cpu.charge(t, c);
@@ -158,7 +173,7 @@ XenX86::switchDomains(Cycles t, Vcpu *from, Vcpu &to, bool charge_sched)
         from->savedRegs().copyClassFrom(cpu.regs(), RegClass::Vmcs);
         from->setLoaded(false);
     } else {
-        stats().counter("xen.idle_domain_switches").inc();
+        machineMetrics().counter(xenX86Taps().idleDomainSwitches).inc();
     }
     if (charge_sched)
         c += params.schedWork;
@@ -180,7 +195,7 @@ XenX86::switchDomains(Cycles t, Vcpu *from, Vcpu &to, bool charge_sched)
     to.setLoaded(true);
     to.setState(VcpuState::Running);
     cpu.setContext(to.name());
-    stats().counter("xen.domain_switches").inc();
+    machineMetrics().counter(xenX86Taps().domainSwitches).inc();
     return cpu.charge(t, c);
 }
 
@@ -207,7 +222,7 @@ XenX86::hypercall(Cycles t, Vcpu &v, Done done)
     const Cycles th =
         mach.cpu(v.pcpu()).charge(t1, params.hypercallHandler);
     const Cycles t2 = resumeVm(th, v);
-    stats().counter("xen.hypercalls").inc();
+    machineMetrics().counter(xenX86Taps().hypercalls).inc();
     vmMetrics(v.vm()).histogram(xenX86Taps().trapHypercall)
         .add(t2 - t);
     trace().span(t, t2, xenX86Taps().opHypercall, TraceCat::Op,
@@ -222,7 +237,7 @@ XenX86::irqControllerTrap(Cycles t, Vcpu &v, Done done)
     const Cycles t2 =
         mach.cpu(v.pcpu()).charge(t1, params.apicEmulation);
     const Cycles t3 = resumeVm(t2, v);
-    stats().counter("xen.irqchip_traps").inc();
+    machineMetrics().counter(xenX86Taps().irqchipTraps).inc();
     vmMetrics(v.vm()).histogram(xenX86Taps().trapIrqchip)
         .add(t3 - t);
     trace().span(t, t3, xenX86Taps().opIrqTrap, TraceCat::Op,
@@ -256,7 +271,7 @@ XenX86::injectIntoRunning(Cycles t, Vcpu &v, Done done)
     if (acked >= 0 && !mach.apic().vApicEnabled()) {
         cpu.charge(t1, cm.vmexitHw + params.eoiEmulation +
                            cm.vmentryHw);
-        stats().counter("xen.virq_complete_trap").inc();
+        machineMetrics().counter(xenX86Taps().virqCompleteTrap).inc();
     }
     return t1;
 }
@@ -265,7 +280,7 @@ void
 XenX86::injectVirq(Cycles t, Vcpu &v, IrqId virq, Done done)
 {
     dist(v.vm()).setPending(v.id(), virq);
-    stats().counter("xen.virq_injected").inc();
+    machineMetrics().counter(xenX86Taps().virqInjected).inc();
     vmMetrics(v.vm()).counter(xenX86Taps().virqInjected).inc();
 
     auto &s = sched[static_cast<std::size_t>(v.pcpu())];
@@ -295,7 +310,7 @@ XenX86::virtualIpi(Cycles t, Vcpu &src, Vcpu &dst, Done done)
 {
     VIRTSIM_ASSERT(src.pcpu() != dst.pcpu(),
                    "virtual IPI microbenchmark requires distinct pcpus");
-    stats().counter("xen.virtual_ipis").inc();
+    machineMetrics().counter(xenX86Taps().virtualIpis).inc();
     const Cycles t1 = trapToXen(t, src);
     PhysicalCpu &scpu = mach.cpu(src.pcpu());
     const Cycles t2 = scpu.charge(
@@ -317,7 +332,7 @@ XenX86::virqComplete(Cycles t, Vcpu &v, Done done)
         PhysicalCpu &cpu = mach.cpu(v.pcpu());
         const Cycles t1 =
             cpu.charge(t, mach.costs().irqChipRegAccess);
-        stats().counter("xen.virq_complete_vapic").inc();
+        machineMetrics().counter(xenX86Taps().virqCompleteVapic).inc();
         queue().scheduleAt(t1, [t1, done] { done(t1); });
         return;
     }
@@ -325,7 +340,7 @@ XenX86::virqComplete(Cycles t, Vcpu &v, Done done)
     const Cycles t2 =
         mach.cpu(v.pcpu()).charge(t1, params.eoiEmulation);
     const Cycles t3 = resumeVm(t2, v);
-    stats().counter("xen.virq_complete_trap").inc();
+    machineMetrics().counter(xenX86Taps().virqCompleteTrap).inc();
     vmMetrics(v.vm()).histogram(xenX86Taps().trapEoi).add(t3 - t);
     queue().scheduleAt(t3, [t3, done] { done(t3); });
 }
@@ -341,7 +356,7 @@ XenX86::vmSwitch(Cycles t, Vcpu &from, Vcpu &to, Done done)
     s.inGuest = false;
     from.setState(VcpuState::Idle);
     const Cycles t2 = switchDomains(t1, &from, to, true);
-    stats().counter("xen.vm_switches").inc();
+    machineMetrics().counter(xenX86Taps().vmSwitches).inc();
     vmMetrics(to.vm()).histogram(xenX86Taps().trapVmSwitch)
         .add(t2 - t);
     trace().span(t, t2, xenX86Taps().opVmSwitch, TraceCat::Op,
@@ -356,7 +371,7 @@ XenX86::ioSignalOut(Cycles t, Vcpu &v, Done done)
     const Cycles t1 = trapToXen(t, v);
     PhysicalCpu &cpu = mach.cpu(v.pcpu());
     const Cycles t2 = cpu.charge(t1, evtchn->notify(portDom0));
-    stats().counter("xen.io_signal_out").inc();
+    machineMetrics().counter(xenX86Taps().ioSignalOut).inc();
 
     Vcpu &d0 = dom0Vcpu();
     Done wrapped = [this, t, track = static_cast<std::uint16_t>(v.pcpu()),
@@ -387,7 +402,7 @@ XenX86::ioSignalIn(Cycles t, Vcpu &v, Done done)
     const Cycles t1 = trapToXen(tr, d0);
     PhysicalCpu &dcpu = mach.cpu(d0.pcpu());
     const Cycles t2 = dcpu.charge(t1, evtchn->notify(portDomU));
-    stats().counter("xen.io_signal_in").inc();
+    machineMetrics().counter(xenX86Taps().ioSignalIn).inc();
     Done wrapped = [this, t, track = static_cast<std::uint16_t>(v.pcpu()),
                     done](Cycles ta) {
         trace().span(t, ta, xenX86Taps().opIoIn, TraceCat::Op, track);
@@ -467,7 +482,7 @@ XenX86::notifyGuestRx(Cycles t, Vm &vm, const Packet &pkt, Done done)
 
     if (v.state() != VcpuState::Idle && t < rxQuietUntil) {
         // Event channel masked while the frontend polls the ring.
-        stats().counter("xen.rx_event_suppressed").inc();
+        machineMetrics().counter(xenX86Taps().rxEventSuppressed).inc();
         guest_pop(t);
         return;
     }
@@ -487,7 +502,7 @@ XenX86::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt, Done done)
         // Ring full: netfront blocks the frame until netback frees
         // slots (TCP backpressure).
         txBacklog.emplace_back(&v, std::make_pair(pkt, std::move(done)));
-        stats().counter("xen.tx_backpressure").inc();
+        machineMetrics().counter(xenX86Taps().txBackpressure).inc();
         return;
     }
     PhysicalCpu &cpu = mach.cpu(v.pcpu());
@@ -506,7 +521,7 @@ XenX86::guestTransmit(Cycles t, Vcpu &v, const Packet &pkt, Done done)
     txBufs[pkt.seq] = std::make_pair(req.gref, buf);
 
     if (txPumpActive) {
-        stats().counter("xen.tx_kick_suppressed").inc();
+        machineMetrics().counter(xenX86Taps().txKickSuppressed).inc();
         return;
     }
 
@@ -592,7 +607,7 @@ XenX86::scheduleDom0IdleCheck(Cycles t)
         d0.setState(VcpuState::Idle);
         d0.setLoaded(false);
         mach.cpu(p).setContext("idle-domain");
-        stats().counter("xen.dom0_blocked").inc();
+        machineMetrics().counter(xenX86Taps().dom0Blocked).inc();
     });
 }
 
@@ -607,7 +622,7 @@ XenX86::onPhysIrq(Cycles t, PcpuId cpu, IrqId irq)
         handleNicIrq(t, cpu);
         return;
     }
-    stats().counter("xen.unhandled_phys_irq").inc();
+    machineMetrics().counter(xenX86Taps().unhandledPhysIrq).inc();
 }
 
 void
@@ -615,7 +630,7 @@ XenX86::handleKick(Cycles t, PcpuId cpu)
 {
     auto &q = kickActions[static_cast<std::size_t>(cpu)];
     if (q.empty()) {
-        stats().counter("xen.spurious_kick").inc();
+        machineMetrics().counter(xenX86Taps().spuriousKick).inc();
         return;
     }
     auto action = std::move(q.front());
@@ -690,7 +705,7 @@ XenX86::blockVcpu(Vcpu &v)
     v.setLoaded(false);
     v.setState(VcpuState::Idle);
     mach.cpu(v.pcpu()).setContext("idle-domain");
-    stats().counter("xen.vcpu_blocked").inc();
+    machineMetrics().counter(xenX86Taps().vcpuBlocked).inc();
 }
 
 } // namespace virtsim

@@ -12,25 +12,28 @@ namespace {
 struct ChipTaps
 {
     TapId ipiSent = internTap("irqchip.ipi_sent");
+    TapId externalRaised = internTap("irqchip.external_raised");
+    TapId ppiRaised = internTap("irqchip.ppi_raised");
     TapId virqInjected = internTap("gic.virq_injected");
     TapId lrWrite = internTap("gic.lr_write");
     TapId lrOverflow = internTap("gic.lr_overflow");
+    TapId guestAck = internTap("gic.guest_ack");
+    TapId guestComplete = internTap("gic.guest_complete");
+    TapId spuriousComplete = internTap("gic.spurious_complete");
+    TapId apicVirqInjected = internTap("apic.virq_injected");
+    TapId apicGuestAck = internTap("apic.guest_ack");
     TapId irqDeliver = internTap("ev.irq_deliver");
 };
 
-const ChipTaps &
-chipTaps()
-{
-    static const ChipTaps taps;
-    return taps;
-}
+constexpr auto &chipTaps = tapsOf<ChipTaps>;
 
 } // namespace
 
 IrqChip::IrqChip(EventQueue &eq, const CostModel &cm,
-                 StatRegistry &stats, Probe *probe)
-    : eq(eq), cm(cm), stats(stats), probe(probe)
+                 MetricsDomain &metrics, Probe *probe)
+    : eq(eq), cm(cm), metrics(metrics), probe(probe)
 {
+    chipTaps();
 }
 
 PcpuId
@@ -43,24 +46,23 @@ IrqChip::externalRoute(IrqId irq) const
 void
 IrqChip::raiseExternal(Cycles t, IrqId irq)
 {
-    stats.counter("irqchip.external_raised").inc();
+    metrics.counter(chipTaps().externalRaised).inc();
     deliver(t, externalRoute(irq), irq);
 }
 
 void
 IrqChip::raisePpi(Cycles t, PcpuId cpu, IrqId irq)
 {
-    stats.counter("irqchip.ppi_raised").inc();
+    metrics.counter(chipTaps().ppiRaised).inc();
     deliver(t, cpu, irq);
 }
 
 void
 IrqChip::sendIpi(Cycles t, PcpuId target, IrqId irq)
 {
-    stats.counter("irqchip.ipi_sent").inc();
+    metrics.counter(chipTaps().ipiSent).inc();
     std::uint64_t token = 0;
     if (probe) {
-        probe->metrics.machine().counter(chipTaps().ipiSent).inc();
         probe->metrics.cpu(target).counter(chipTaps().ipiSent).inc();
         token = probe->trace.edgeOut(t, edgeIpiTap(), TraceCat::Irq,
                                      noTrack);
@@ -125,9 +127,9 @@ IrqChip::deliver(Cycles t, PcpuId cpu, IrqId irq)
         [this, t, cpu, irq] { handler(t, cpu, irq); });
 }
 
-Gic::Gic(EventQueue &eq, const CostModel &cm, StatRegistry &stats,
+Gic::Gic(EventQueue &eq, const CostModel &cm, MetricsDomain &metrics,
          int n_cpus, Probe *probe)
-    : IrqChip(eq, cm, stats, probe),
+    : IrqChip(eq, cm, metrics, probe),
       lrs(static_cast<std::size_t>(n_cpus))
 {
 }
@@ -141,10 +143,8 @@ Gic::injectVirq(Cycles t, PcpuId cpu, IrqId virq)
             regs[i].virq = virq;
             regs[i].pending = true;
             regs[i].active = false;
-            stats.counter("gic.virq_injected").inc();
+            metrics.counter(chipTaps().virqInjected).inc();
             if (probe) {
-                auto &mach = probe->metrics.machine();
-                mach.counter(chipTaps().virqInjected).inc();
                 probe->trace.instant(
                     t, chipTaps().lrWrite, TraceCat::Irq,
                     static_cast<std::uint16_t>(cpu),
@@ -156,11 +156,9 @@ Gic::injectVirq(Cycles t, PcpuId cpu, IrqId virq)
             return static_cast<int>(i);
         }
     }
-    stats.counter("gic.lr_overflow").inc();
-    if (probe) {
-        probe->metrics.machine().counter(chipTaps().lrOverflow).inc();
+    metrics.counter(chipTaps().lrOverflow).inc();
+    if (probe)
         probe->metrics.cpu(cpu).counter(chipTaps().lrOverflow).inc();
-    }
     return -1;
 }
 
@@ -180,7 +178,7 @@ Gic::guestAckVirq(PcpuId cpu, Cycles t)
         if (!lr.empty() && lr.pending) {
             lr.pending = false;
             lr.active = true;
-            stats.counter("gic.guest_ack").inc();
+            metrics.counter(chipTaps().guestAck).inc();
             if (probe && lr.edgeToken != 0 && t != 0) {
                 probe->trace.edgeIn(t, lr.edgeToken, edgeLrTap(),
                                     TraceCat::Irq,
@@ -200,13 +198,13 @@ Gic::guestCompleteVirq(PcpuId cpu, IrqId virq)
     for (auto &lr : regs) {
         if (lr.virq == virq && lr.active) {
             lr.clear();
-            stats.counter("gic.guest_complete").inc();
+            metrics.counter(chipTaps().guestComplete).inc();
             return cm.virqCompletionInVm;
         }
     }
     // Completing an interrupt that is not active is a guest bug in a
     // real system; tolerate it but count it.
-    stats.counter("gic.spurious_complete").inc();
+    metrics.counter(chipTaps().spuriousComplete).inc();
     return cm.virqCompletionInVm;
 }
 
@@ -221,9 +219,9 @@ Gic::anyVirqLive(PcpuId cpu) const
     return false;
 }
 
-Apic::Apic(EventQueue &eq, const CostModel &cm, StatRegistry &stats,
+Apic::Apic(EventQueue &eq, const CostModel &cm, MetricsDomain &metrics,
            int n_cpus, Probe *probe)
-    : IrqChip(eq, cm, stats, probe),
+    : IrqChip(eq, cm, metrics, probe),
       pendingVirq(static_cast<std::size_t>(n_cpus), -1)
 {
 }
@@ -235,9 +233,9 @@ Apic::injectVirq(Cycles t, PcpuId cpu, IrqId virq)
                    static_cast<std::size_t>(cpu) < pendingVirq.size(),
                    "bad pcpu ", cpu);
     pendingVirq[static_cast<std::size_t>(cpu)] = virq;
-    stats.counter("apic.virq_injected").inc();
+    metrics.counter(chipTaps().apicVirqInjected).inc();
+    metrics.counter(chipTaps().virqInjected).inc();
     if (probe) {
-        probe->metrics.machine().counter(chipTaps().virqInjected).inc();
         probe->trace.instant(t, chipTaps().lrWrite, TraceCat::Irq,
                              static_cast<std::uint16_t>(cpu),
                              static_cast<std::uint64_t>(virq));
@@ -252,7 +250,7 @@ Apic::guestAckVirq(PcpuId cpu)
     const IrqId virq = slot;
     slot = -1;
     if (virq >= 0)
-        stats.counter("apic.guest_ack").inc();
+        metrics.counter(chipTaps().apicGuestAck).inc();
     return virq;
 }
 

@@ -35,7 +35,6 @@
 #include "sim/channel.hh"
 #include "sim/event_queue.hh"
 #include "sim/probe.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace virtsim {
@@ -58,9 +57,10 @@ class IrqChip
     /** Called when a physical interrupt is pended at a CPU. */
     using Handler = std::function<void(Cycles when, PcpuId cpu, IrqId irq)>;
 
-    /** probe is optional: standalone chips (unit tests) pass none and
-     *  skip trace/metrics emission. */
-    IrqChip(EventQueue &eq, const CostModel &cm, StatRegistry &stats,
+    /** metrics is the machine domain the chip counts its events in.
+     *  probe is optional: standalone chips (unit tests) pass none and
+     *  skip trace and per-CPU metrics emission. */
+    IrqChip(EventQueue &eq, const CostModel &cm, MetricsDomain &metrics,
             Probe *probe = nullptr);
     virtual ~IrqChip() = default;
 
@@ -122,7 +122,7 @@ class IrqChip
 
     EventQueue &eq;
     const CostModel &cm;
-    StatRegistry &stats;
+    MetricsDomain &metrics;
     Probe *probe; ///< may be null (standalone chip)
     Handler handler;
     std::map<IrqId, PcpuId> routes;
@@ -158,7 +158,7 @@ inline constexpr std::size_t numListRegs = 4;
 class Gic : public IrqChip
 {
   public:
-    Gic(EventQueue &eq, const CostModel &cm, StatRegistry &stats,
+    Gic(EventQueue &eq, const CostModel &cm, MetricsDomain &metrics,
         int n_cpus, Probe *probe = nullptr);
 
     /** @name Hypervisor-side (EL2) virtual interface control */
@@ -218,7 +218,7 @@ class Gic : public IrqChip
 class Apic : public IrqChip
 {
   public:
-    Apic(EventQueue &eq, const CostModel &cm, StatRegistry &stats,
+    Apic(EventQueue &eq, const CostModel &cm, MetricsDomain &metrics,
          int n_cpus, Probe *probe = nullptr);
 
     /**

@@ -88,24 +88,26 @@ MachineConfig::dellR320()
 
 Machine::Machine(EventQueue &eq, MachineConfig config)
     : cfg(std::move(config)), eq(eq),
-      _mmu(cfg.costs, _stats, cfg.nCpus, &_probe),
-      _memory(cfg.costs, _stats)
+      _mmu(cfg.costs, _probe.metrics.machine(), cfg.nCpus, &_probe),
+      _memory(cfg.costs, _probe.metrics.machine())
 {
     VIRTSIM_ASSERT(cfg.nCpus > 0, "machine needs at least one cpu");
     for (int i = 0; i < cfg.nCpus; ++i)
         cpus.push_back(std::make_unique<PhysicalCpu>(i, eq, cfg.costs));
 
     if (cfg.costs.arch == Arch::Arm) {
-        chip = std::make_unique<Gic>(eq, cfg.costs, _stats, cfg.nCpus,
-                                     &_probe);
+        chip = std::make_unique<Gic>(eq, cfg.costs,
+                                     _probe.metrics.machine(),
+                                     cfg.nCpus, &_probe);
     } else {
-        chip = std::make_unique<Apic>(eq, cfg.costs, _stats, cfg.nCpus,
-                                      &_probe);
+        chip = std::make_unique<Apic>(eq, cfg.costs,
+                                      _probe.metrics.machine(),
+                                      cfg.nCpus, &_probe);
     }
 
     _timers = std::make_unique<TimerBank>(eq, *chip, cfg.nCpus);
-    _nic = std::make_unique<Nic>(eq, *chip, _stats, cfg.costs.freq,
-                                 cfg.nicParams);
+    _nic = std::make_unique<Nic>(eq, *chip, _probe.metrics.machine(),
+                                 cfg.costs.freq, cfg.nicParams);
 
     registerTimelineGauges();
 }
@@ -113,8 +115,9 @@ Machine::Machine(EventQueue &eq, MachineConfig config)
 Machine::Machine(ShardedEventKernel &kern,
                  const MachineShardPlan &plan, MachineConfig config)
     : cfg(std::move(config)), eq(kern.lane(plan.deviceLane)),
-      _kern(&kern), _mmu(cfg.costs, _stats, cfg.nCpus, &_probe),
-      _memory(cfg.costs, _stats)
+      _kern(&kern),
+      _mmu(cfg.costs, _probe.metrics.machine(), cfg.nCpus, &_probe),
+      _memory(cfg.costs, _probe.metrics.machine())
 {
     VIRTSIM_ASSERT(cfg.nCpus > 0, "machine needs at least one cpu");
     VIRTSIM_ASSERT(plan.cpuLane.empty() ||
@@ -136,11 +139,13 @@ Machine::Machine(ShardedEventKernel &kern,
     }
 
     if (cfg.costs.arch == Arch::Arm) {
-        chip = std::make_unique<Gic>(eq, cfg.costs, _stats, cfg.nCpus,
-                                     &_probe);
+        chip = std::make_unique<Gic>(eq, cfg.costs,
+                                     _probe.metrics.machine(),
+                                     cfg.nCpus, &_probe);
     } else {
-        chip = std::make_unique<Apic>(eq, cfg.costs, _stats, cfg.nCpus,
-                                      &_probe);
+        chip = std::make_unique<Apic>(eq, cfg.costs,
+                                      _probe.metrics.machine(),
+                                      cfg.nCpus, &_probe);
     }
 
     // Every IPI, regardless of sender, flows through the target CPU's
@@ -160,8 +165,8 @@ Machine::Machine(ShardedEventKernel &kern,
                      std::move(ipi));
 
     _timers = std::make_unique<TimerBank>(eq, *chip, cfg.nCpus);
-    _nic = std::make_unique<Nic>(eq, *chip, _stats, cfg.costs.freq,
-                                 cfg.nicParams);
+    _nic = std::make_unique<Nic>(eq, *chip, _probe.metrics.machine(),
+                                 cfg.costs.freq, cfg.nicParams);
 
     registerTimelineGauges();
 }
@@ -219,19 +224,27 @@ Machine::registerTimelineGauges()
     tl.addGauge("nic.rx_queue", [this] {
         return static_cast<std::int64_t>(_nic->rxQueueDepth());
     });
-    // counterValue() takes const std::string&; the names live in
-    // statics so a sampling tick never constructs a heap-backed
-    // temporary ("mmu.stage2_fault" is past libstdc++'s 15-char SSO).
-    static const std::string rxDroppedKey{"nic.rx_dropped"};
-    static const std::string stage2FaultKey{"mmu.stage2_fault"};
-    tl.addRateGauge("nic.rx_drop.rate", [this] {
-        return static_cast<std::int64_t>(
-            _stats.counterValue(rxDroppedKey));
+    // value(), not counter(): a registering read would add a
+    // zero-valued row to every snapshot.
+    const MetricsDomain *dom = &_probe.metrics.machine();
+    const TapId rxDropped = internTap("nic.rx_dropped");
+    const TapId stage2Fault = internTap("mmu.stage2_fault");
+    tl.addRateGauge("nic.rx_drop.rate", [dom, rxDropped] {
+        return static_cast<std::int64_t>(dom->value(rxDropped));
     });
-    tl.addRateGauge("mmu.stage2_fault.rate", [this] {
-        return static_cast<std::int64_t>(
-            _stats.counterValue(stage2FaultKey));
+    tl.addRateGauge("mmu.stage2_fault.rate", [dom, stage2Fault] {
+        return static_cast<std::int64_t>(dom->value(stage2Fault));
     });
+}
+
+std::map<std::string, Counter>
+Machine::CounterList::allCounters() const
+{
+    std::map<std::string, Counter> out;
+    domain.forEachCounter([&out](TapId tap, std::uint64_t v) {
+        out[tapName(tap)].inc(v);
+    });
+    return out;
 }
 
 PhysicalCpu &

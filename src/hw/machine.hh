@@ -12,6 +12,7 @@
 #ifndef VIRTSIM_HW_MACHINE_HH
 #define VIRTSIM_HW_MACHINE_HH
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,7 +27,6 @@
 #include "sim/event_queue.hh"
 #include "sim/probe.hh"
 #include "sim/shard.hh"
-#include "sim/stats.hh"
 
 namespace virtsim {
 
@@ -140,7 +140,6 @@ class Machine
     const Frequency &freq() const { return cfg.costs.freq; }
 
     EventQueue &queue() { return eq; }
-    StatRegistry &stats() { return _stats; }
 
     /** Queue PhysicalCpu `id` schedules on (its lane queue under a
      *  shard plan; the machine queue otherwise). */
@@ -150,6 +149,17 @@ class Machine
     Probe &probe() { return _probe; }
     TraceSink &trace() { return _probe.trace; }
     MetricsRegistry &metrics() { return _probe.metrics; }
+
+    /** Read-only list of the machine domain's counters by name, as
+     *  stats().allCounters(). Kept only for the benchmark driver
+     *  (perfbench), which reads it; the model counts and reads on
+     *  metrics().machine(). A later benchmark change may drop it. */
+    struct CounterList
+    {
+        const MetricsDomain &domain;
+        std::map<std::string, Counter> allCounters() const;
+    };
+    CounterList stats() { return {_probe.metrics.machine()}; }
 
     int numCpus() const { return static_cast<int>(cpus.size()); }
     PhysicalCpu &cpu(PcpuId id);
@@ -183,7 +193,6 @@ class Machine
      *  plain EventQueue constructor. Lets world-wide gauges sum over
      *  lanes instead of reporting one lane's share. */
     ShardedEventKernel *_kern = nullptr;
-    StatRegistry _stats;
     Probe _probe;
     std::vector<std::unique_ptr<PhysicalCpu>> cpus;
     std::unique_ptr<IrqChip> chip;

@@ -4,9 +4,23 @@
 
 namespace virtsim {
 
-MainMemory::MainMemory(const CostModel &cm, StatRegistry &stats)
-    : cm(cm), stats(stats)
+namespace {
+
+struct MemoryTaps
 {
+    TapId buffersAllocated = internTap("mem.buffers_allocated");
+    TapId bytesCopied = internTap("mem.bytes_copied");
+    TapId copies = internTap("mem.copies");
+};
+
+constexpr auto &memoryTaps = tapsOf<MemoryTaps>;
+
+} // namespace
+
+MainMemory::MainMemory(const CostModel &cm, MetricsDomain &metrics)
+    : cm(cm), metrics(metrics)
+{
+    memoryTaps();
 }
 
 BufferId
@@ -14,7 +28,7 @@ MainMemory::alloc(const std::string &owner, std::uint32_t bytes)
 {
     const BufferId id = nextId++;
     buffers[id] = Buffer{owner, bytes};
-    stats.counter("mem.buffers_allocated").inc();
+    metrics.counter(memoryTaps().buffersAllocated).inc();
     return id;
 }
 
@@ -49,8 +63,8 @@ MainMemory::size(BufferId id) const
 Cycles
 MainMemory::copyCost(std::uint32_t bytes)
 {
-    stats.counter("mem.bytes_copied").inc(bytes);
-    stats.counter("mem.copies").inc();
+    metrics.counter(memoryTaps().bytesCopied).inc(bytes);
+    metrics.counter(memoryTaps().copies).inc();
     // Round up to whole KiB; small copies still pay setup of ~1 KiB.
     const std::uint32_t kib = (bytes + 1023) / 1024;
     return static_cast<Cycles>(kib == 0 ? 1 : kib) * cm.copyPerKb;

@@ -18,7 +18,7 @@
 #include <string>
 
 #include "hw/cost_model.hh"
-#include "sim/stats.hh"
+#include "sim/probe.hh"
 #include "sim/types.hh"
 
 namespace virtsim {
@@ -34,7 +34,9 @@ inline constexpr BufferId invalidBuffer = -1;
 class MainMemory
 {
   public:
-    MainMemory(const CostModel &cm, StatRegistry &stats);
+    /** metrics is the machine domain copies and allocations are
+     *  counted in. */
+    MainMemory(const CostModel &cm, MetricsDomain &metrics);
 
     /**
      * Allocate a buffer owned by the named domain ("vm0", "dom0",
@@ -66,7 +68,7 @@ class MainMemory
     };
 
     const CostModel &cm;
-    StatRegistry &stats;
+    MetricsDomain &metrics;
     std::map<BufferId, Buffer> buffers;
     BufferId nextId = 0;
 };

@@ -6,6 +6,23 @@
 
 namespace virtsim {
 
+namespace {
+
+/** Taps interned once; the translation hot path uses plain ids. */
+struct MmuTaps
+{
+    TapId tlbHit = internTap("mmu.tlb_hit");
+    TapId tlbMiss = internTap("mmu.tlb_miss");
+    TapId stage2Fault = internTap("mmu.stage2_fault");
+    TapId broadcastInvalidate = internTap("mmu.broadcast_invalidate");
+    TapId broadcastInvalidateVmid =
+        internTap("mmu.broadcast_invalidate_vmid");
+};
+
+constexpr auto &mmuTaps = tapsOf<MmuTaps>;
+
+} // namespace
+
 void
 Stage2Tables::map(Ipa ipa, Pa pa, bool writable)
 {
@@ -79,11 +96,12 @@ Tlb::invalidateVmid(VmId vmid)
     }
 }
 
-Mmu::Mmu(const CostModel &cm, StatRegistry &stats, int n_cpus,
+Mmu::Mmu(const CostModel &cm, MetricsDomain &metrics, int n_cpus,
          Probe *probe)
-    : cm(cm), stats(stats), probe(probe),
+    : cm(cm), metrics(metrics), probe(probe),
       tlbs(static_cast<std::size_t>(n_cpus))
 {
+    mmuTaps();
 }
 
 std::pair<std::optional<Pa>, Cycles>
@@ -91,22 +109,19 @@ Mmu::translate(PcpuId cpu, const Stage2Tables &tables, Ipa ipa)
 {
     Tlb &t = tlb(cpu);
     if (t.lookup(tables.vmid(), ipa)) {
-        stats.counter("mmu.tlb_hit").inc();
+        metrics.counter(mmuTaps().tlbHit).inc();
         const auto pa = tables.lookup(ipa);
         VIRTSIM_ASSERT(pa, "TLB hit for unmapped page; stale TLB entry: "
                        "vmid=", tables.vmid(), " ipa=", ipa);
         return {pa, 0};
     }
-    stats.counter("mmu.tlb_miss").inc();
+    metrics.counter(mmuTaps().tlbMiss).inc();
     const Cycles cost = cm.pageTableWalk + cm.stage2WalkExtra;
     const auto pa = tables.lookup(ipa);
     if (!pa) {
-        stats.counter("mmu.stage2_fault").inc();
-        if (probe) {
-            static const TapId tap = internTap("mmu.stage2_fault");
-            probe->metrics.machine().counter(tap).inc();
-            probe->metrics.cpu(cpu).counter(tap).inc();
-        }
+        metrics.counter(mmuTaps().stage2Fault).inc();
+        if (probe)
+            probe->metrics.cpu(cpu).counter(mmuTaps().stage2Fault).inc();
         return {std::nullopt, cost};
     }
     t.fill(tables.vmid(), ipa);
@@ -118,7 +133,7 @@ Mmu::invalidatePageBroadcast(VmId vmid, Ipa ipa)
 {
     for (auto &t : tlbs)
         t.invalidatePage(vmid, ipa);
-    stats.counter("mmu.broadcast_invalidate").inc();
+    metrics.counter(mmuTaps().broadcastInvalidate).inc();
     if (cm.arch == Arch::Arm) {
         // Hardware DVM broadcast: single instruction on the initiator.
         return cm.tlbInvalidateBroadcast;
@@ -135,7 +150,7 @@ Mmu::invalidateVmidBroadcast(VmId vmid)
 {
     for (auto &t : tlbs)
         t.invalidateVmid(vmid);
-    stats.counter("mmu.broadcast_invalidate_vmid").inc();
+    metrics.counter(mmuTaps().broadcastInvalidateVmid).inc();
     if (cm.arch == Arch::Arm)
         return cm.tlbInvalidateBroadcast;
     return cm.tlbInvalidateBroadcast +

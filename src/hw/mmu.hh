@@ -28,7 +28,6 @@
 
 #include "hw/cost_model.hh"
 #include "sim/probe.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace virtsim {
@@ -118,8 +117,10 @@ class Tlb
 class Mmu
 {
   public:
-    /** probe is optional: standalone MMUs (unit tests) pass none. */
-    Mmu(const CostModel &cm, StatRegistry &stats, int n_cpus,
+    /** metrics is the machine domain the MMU counts its events in.
+     *  probe is optional: standalone MMUs (unit tests) pass none and
+     *  skip per-CPU metrics. */
+    Mmu(const CostModel &cm, MetricsDomain &metrics, int n_cpus,
         Probe *probe = nullptr);
 
     /**
@@ -149,7 +150,7 @@ class Mmu
 
   private:
     const CostModel &cm;
-    StatRegistry &stats;
+    MetricsDomain &metrics;
     Probe *probe; ///< may be null (standalone MMU)
     std::vector<Tlb> tlbs;
 };

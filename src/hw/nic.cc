@@ -6,27 +6,44 @@
 
 namespace virtsim {
 
-Nic::Nic(EventQueue &eq, IrqChip &chip, StatRegistry &stats,
-         const Frequency &freq, Params params)
-    : eq(eq), chip(chip), stats(stats), freq(freq), params(params)
+namespace {
+
+struct NicTaps
 {
+    TapId rxPackets = internTap("nic.rx_packets");
+    TapId rxBytes = internTap("nic.rx_bytes");
+    TapId rxDropped = internTap("nic.rx_dropped");
+    TapId rxCoalesced = internTap("nic.rx_coalesced");
+    TapId txPackets = internTap("nic.tx_packets");
+    TapId txBytes = internTap("nic.tx_bytes");
+};
+
+constexpr auto &nicTaps = tapsOf<NicTaps>;
+
+} // namespace
+
+Nic::Nic(EventQueue &eq, IrqChip &chip, MetricsDomain &metrics,
+         const Frequency &freq, Params params)
+    : eq(eq), chip(chip), metrics(metrics), freq(freq), params(params)
+{
+    nicTaps();
 }
 
-Nic::Nic(EventQueue &eq, IrqChip &chip, StatRegistry &stats,
+Nic::Nic(EventQueue &eq, IrqChip &chip, MetricsDomain &metrics,
          const Frequency &freq)
-    : Nic(eq, chip, stats, freq, Params{})
+    : Nic(eq, chip, metrics, freq, Params{})
 {
 }
 
 void
 Nic::receiveFromWire(Cycles t, const Packet &pkt)
 {
-    stats.counter("nic.rx_packets").inc();
-    stats.counter("nic.rx_bytes").inc(pkt.bytes);
+    metrics.counter(nicTaps().rxPackets).inc();
+    metrics.counter(nicTaps().rxBytes).inc(pkt.bytes);
     const Cycles ready = t + params.rxDmaLatency;
     eq.scheduleAt(ready, [this, ready, pkt] {
         if (rxQueue.size() >= params.rxQueueCap) {
-            stats.counter("nic.rx_dropped").inc();
+            metrics.counter(nicTaps().rxDropped).inc();
             return;
         }
         rxQueue.push_back(pkt);
@@ -35,7 +52,7 @@ Nic::receiveFromWire(Cycles t, const Packet &pkt)
             // but arm the end-of-window flush so a burst that stops
             // mid-window is still delivered (real adaptive
             // moderation fires at the window boundary).
-            stats.counter("nic.rx_coalesced").inc();
+            metrics.counter(nicTaps().rxCoalesced).inc();
             if (!windowIrqPending) {
                 windowIrqPending = true;
                 eq.scheduleAt(coalesceUntil, [this] {
@@ -64,8 +81,8 @@ Nic::popRx(Packet &out)
 void
 Nic::transmit(Cycles t, const Packet &pkt)
 {
-    stats.counter("nic.tx_packets").inc();
-    stats.counter("nic.tx_bytes").inc(pkt.bytes);
+    metrics.counter(nicTaps().txPackets).inc();
+    metrics.counter(nicTaps().txBytes).inc(pkt.bytes);
     const Cycles fetch_done = t + params.txDmaLatency;
     // Serialize onto the wire at line rate: packets queue behind the
     // transmitter when the CPU outruns 10 GbE.

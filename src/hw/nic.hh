@@ -20,7 +20,6 @@
 #include "hw/cost_model.hh"
 #include "hw/gic.hh"
 #include "sim/event_queue.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace virtsim {
@@ -60,10 +59,11 @@ class Nic
         std::size_t rxQueueCap = 4096;
     };
 
-    Nic(EventQueue &eq, IrqChip &chip, StatRegistry &stats,
+    /** metrics is the machine domain packets are counted in. */
+    Nic(EventQueue &eq, IrqChip &chip, MetricsDomain &metrics,
         const Frequency &freq, Params params);
 
-    Nic(EventQueue &eq, IrqChip &chip, StatRegistry &stats,
+    Nic(EventQueue &eq, IrqChip &chip, MetricsDomain &metrics,
         const Frequency &freq);
 
     /** @name Wire side */
@@ -95,7 +95,7 @@ class Nic
   private:
     EventQueue &eq;
     IrqChip &chip;
-    StatRegistry &stats;
+    MetricsDomain &metrics;
     Frequency freq;
     Params params;
     std::deque<Packet> rxQueue;

@@ -5,11 +5,30 @@
 
 namespace virtsim {
 
+namespace {
+
+struct WireTaps
+{
+    TapId toServer = internTap("wire.to_server");
+    TapId toClient = internTap("wire.to_client");
+};
+
+constexpr auto &wireTaps = tapsOf<WireTaps>;
+
+} // namespace
+
+Wire::Wire(EventQueue &eq, MetricsDomain &metrics,
+           Cycles one_way_latency, Probe *probe)
+    : eq(eq), metrics(metrics), latency(one_way_latency), probe(probe)
+{
+    wireTaps();
+}
+
 void
 Wire::sendToServer(Cycles t, const Packet &pkt)
 {
     VIRTSIM_ASSERT(toServer, "wire has no server endpoint");
-    stats.counter("wire.to_server").inc();
+    metrics.counter(wireTaps().toServer).inc();
     std::uint64_t token = 0;
     if (probe)
         token = probe->trace.edgeOut(t, edgeWireTap(), TraceCat::Io);
@@ -35,7 +54,7 @@ void
 Wire::sendToClient(Cycles t, const Packet &pkt)
 {
     VIRTSIM_ASSERT(toClient, "wire has no client endpoint");
-    stats.counter("wire.to_client").inc();
+    metrics.counter(wireTaps().toClient).inc();
     std::uint64_t token = 0;
     if (probe)
         token = probe->trace.edgeOut(t, edgeWireTap(), TraceCat::Io);

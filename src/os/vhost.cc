@@ -6,6 +6,19 @@
 
 namespace virtsim {
 
+namespace {
+
+struct VhostTaps
+{
+    TapId rxBacklogDropped = internTap("vhost.rx_backlog_dropped");
+    TapId rxNoDescriptor = internTap("vhost.rx_no_descriptor");
+    TapId txSpuriousKick = internTap("vhost.tx_spurious_kick");
+};
+
+constexpr auto &vhostTaps = tapsOf<VhostTaps>;
+
+} // namespace
+
 VhostBackend::VhostBackend(Machine &m, Vm &guest,
                            const NetstackCosts &net, Params params)
     : mach(m), guest(guest), net(net), p(params),
@@ -14,6 +27,7 @@ VhostBackend::VhostBackend(Machine &m, Vm &guest,
     VIRTSIM_ASSERT(p.workerPcpu < m.numCpus() &&
                    p.hostIrqPcpu < m.numCpus(),
                    "vhost pinned outside machine");
+    vhostTaps();
 
     // Virtio/vhost queue-depth gauges, on the worker's CPU track.
     // The backend outlives the sampler's use of these captures: it is
@@ -70,7 +84,7 @@ VhostBackend::hostRxToGuest(Cycles t, const Packet &pkt,
     // worker drains its queue in simulated-time order so ring state
     // advances in step with the clock.
     if (rxJobs.size() >= rxJobCap) {
-        mach.stats().counter("vhost.rx_backlog_dropped")
+        mach.metrics().machine().counter(vhostTaps().rxBacklogDropped)
             .inc(static_cast<std::uint64_t>(framesFor(pkt.bytes)));
         return;
     }
@@ -114,7 +128,7 @@ VhostBackend::pumpRx(Cycles t)
     Cycles cost = rx.hostPop(desc, ok);
     if (!ok) {
         // Guest hasn't replenished rx descriptors; account a drop.
-        mach.stats().counter("vhost.rx_no_descriptor").inc();
+        mach.metrics().machine().counter(vhostTaps().rxNoDescriptor).inc();
         mach.queue().scheduleAt(t, [this, t] { pumpRx(t); });
         return;
     }
@@ -139,7 +153,7 @@ VhostBackend::txFromGuest(Cycles t,
     VirtioDesc desc;
     Cycles cost = tx.hostPop(desc, ok);
     if (!ok) {
-        mach.stats().counter("vhost.tx_spurious_kick").inc();
+        mach.metrics().machine().counter(vhostTaps().txSpuriousKick).inc();
         return;
     }
     // Streaming transmit keeps the worker and the stack hot:

@@ -4,10 +4,10 @@
  * and a lane-partitioned per-request phase tracker.
  *
  * ROADMAP item 1 asks for p99/p999 tail percentiles and SLO violation
- * rates, not just the paper's means. SampleStat answers exact
- * percentile queries but keeps every sample (unbounded at fleet
- * scale), and HistogramStat's 64 log2 buckets cannot separate a 30 us
- * p50 from a 35 us p99 — both land in one power-of-two bucket.
+ * rates, not just the paper's means. Keeping every sample would give
+ * exact percentiles but grows without bound at fleet scale, and
+ * HistogramStat's 64 log2 buckets cannot separate a 30 us p50 from a
+ * 35 us p99 — both land in one power-of-two bucket.
  * LatencyHistogram fills the gap: log-linear buckets (HdrHistogram's
  * scheme) give a fixed <=0.79% relative error at every magnitude in a
  * fixed 58 KB footprint, and merging is bucket-wise integer addition —

@@ -89,6 +89,22 @@ class TapId
  */
 TapId internTap(std::string_view name);
 
+/**
+ * The process-wide instance of a module's tap struct (a struct whose
+ * TapId members are initialized with internTap()), built on first
+ * call. A module binds it once — `constexpr auto &nicTaps =
+ * tapsOf<NicTaps>;` — and touches it when a component is built, so a
+ * world that freezes its metrics domains (prepareForParallel) already
+ * covers every tap the component will count.
+ */
+template <typename Taps>
+const Taps &
+tapsOf()
+{
+    static const Taps taps;
+    return taps;
+}
+
 /** Name of an interned tap ("?" for the invalid id). */
 std::string tapName(TapId tap);
 
@@ -687,10 +703,14 @@ class MetricsDomain
     }
 
     /**
-     * Pre-size the tap-indexed arrays to cover ids [0, tapCount), so
-     * later counter()/histogram() calls never reallocate. Must be
-     * called (with internedTapCount()) before this domain is touched
-     * from concurrent shard lanes.
+     * Pre-size the counter array to cover ids [0, tapCount), so later
+     * counter() calls never reallocate, and freeze both tap-indexed
+     * arrays. Must be called (with internedTapCount()) before this
+     * domain is touched from concurrent shard lanes. Histograms are
+     * not pre-sized: they are lane-confined, and only hypervisors
+     * record them (none runs in a parallel world), so a histogram
+     * first touched after the freeze is a deterministic failure
+     * rather than ~560 bytes per tap in every domain.
      */
     void
     prepareForParallel(std::size_t tapCount)
@@ -698,10 +718,6 @@ class MetricsDomain
         if (counters.size() < tapCount + 1) {
             counters.resize(tapCount + 1);
             used.resize(counters.size());
-        }
-        if (hists.size() < tapCount + 1) {
-            hists.resize(tapCount + 1);
-            histUsed.resize(hists.size());
         }
         parallelPrepared = true;
     }
@@ -852,8 +868,9 @@ class MetricsRegistry
 
     /**
      * Pre-create the per-CPU domains for nCpus CPUs and pre-size
-     * every existing domain for all currently interned taps, so no
-     * domain lookup or counter registration allocates afterwards.
+     * every existing domain's counters for all currently interned
+     * taps, so no domain lookup or counter registration allocates
+     * afterwards.
      * Call once (from one thread) before shard lanes run in parallel;
      * has no effect on snapshot contents.
      */

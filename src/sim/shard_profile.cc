@@ -42,7 +42,7 @@ ShardProfile::lanesProfiled() const
 }
 
 double
-ShardProfile::speedupEstimate() const
+ShardProfile::busyOverWall() const
 {
     if (wallNs == 0)
         return 0.0;
@@ -54,14 +54,14 @@ std::string
 ShardProfile::toJson() const
 {
     const std::size_t n = lanes.size();
-    std::string out = "{\"schema\":\"virtsim-shard-profile-2\"";
+    std::string out = "{\"schema\":\"virtsim-shard-profile-3\"";
     out += ",\"lanes\":" + std::to_string(n);
     out += ",\"lanes_profiled\":" + std::to_string(lanesProfiled());
     out += ",\"rounds\":" + std::to_string(rounds);
     out += ",\"parallel_rounds\":" + std::to_string(parallelRounds);
     out += ",\"wall_ns\":" + std::to_string(wallNs);
     out += ",\"busy_ns_total\":" + std::to_string(busyNsTotal());
-    out += ",\"speedup_estimate\":" + formatFixed(speedupEstimate());
+    out += ",\"busy_over_wall\":" + formatFixed(busyOverWall());
     out += ",\"lane_detail\":[";
     // Sparse, like the coordinator itself: a lane that never ran and
     // never stalled contributes one spare-capacity row's worth of

@@ -79,13 +79,13 @@ struct ShardProfile
      *  elides them from the rounds. */
     std::size_t lanesProfiled() const;
 
-    /** Achieved parallelism: total busy time over wall time — the
-     *  speedup this run realized over a serial execution of the same
-     *  event work (ignoring per-round coordination the serial path
-     *  would not pay). */
-    double speedupEstimate() const;
+    /** Total busy time over wall time: the mean number of lanes busy
+     *  at once. Not a speedup — it ignores coordination cost and
+     *  says nothing about how fast a serial run of the same work
+     *  would be; only a measured serial run gives that. */
+    double busyOverWall() const;
 
-    /** Machine-readable export (schema "virtsim-shard-profile-2":
+    /** Machine-readable export (schema "virtsim-shard-profile-3":
      *  sparse lane_detail — all-zero lanes elided, rows keyed by
      *  their "lane" field). */
     std::string toJson() const;

@@ -1,13 +1,12 @@
 /**
  * @file
- * Statistics primitives: counters and sample accumulators.
+ * Statistics primitives: event counters and bounded cycle histograms.
  *
- * The paper reports per-operation cycle counts (Tables II and III),
- * per-transaction microsecond decompositions (Table V), and normalized
- * throughput ratios (Figure 4). SampleStat covers all three: it keeps
- * every sample so exact means, percentiles and min/max can be
- * extracted, which is cheap at the scale of these experiments
- * (thousands to low millions of samples).
+ * The paper reports per-operation cycle counts (Tables II and III):
+ * integer cycle samples whose exact count, sum, min, max and mean
+ * HistogramStat keeps in fixed memory. Both primitives are the cells
+ * of the tap-keyed MetricsDomain (sim/probe); request-latency
+ * quantiles live in LatencyHistogram (sim/latency).
  */
 
 #ifndef VIRTSIM_SIM_STATS_HH
@@ -18,11 +17,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <shared_mutex>
 #include <string>
-#include <vector>
 
 namespace virtsim {
 
@@ -30,11 +25,12 @@ namespace virtsim {
  * A monotonically increasing event counter.
  *
  * Increments are relaxed atomics so counters shared across sharded
- * kernel lanes (e.g. a Machine's StatRegistry fed from several CPU
+ * kernel lanes (e.g. a Machine's metrics domain fed from several CPU
  * shards) stay exact without locking; addition commutes, so the final
  * value is independent of thread interleaving and runs remain
  * byte-identical at every VIRTSIM_SHARDS setting. Copy semantics are
- * value snapshots (needed by the std::map registry nodes).
+ * value snapshots (needed so MetricsDomain's tap-indexed counter
+ * vector can grow).
  */
 class Counter
 {
@@ -68,70 +64,10 @@ class Counter
 };
 
 /**
- * Accumulates a set of samples and answers summary queries.
- *
- * Exact but unbounded: every sample is retained, so means and
- * percentiles are exact while memory grows linearly with the sample
- * count. That is the right trade for the paper-table experiments
- * (thousands to low millions of samples, then the exact numbers go in
- * a table). Streams that scale with fleet size or run length belong
- * in LatencyHistogram (sim/latency) — bounded memory, <=0.79%
- * quantile error — or HistogramStat below; add() asserts the
- * maxSamples ceiling so an accidental unbounded feed fails loudly
- * instead of quietly growing the heap.
- */
-class SampleStat
-{
-  public:
-    /** Hard ceiling on retained samples (32 MB of doubles). */
-    static constexpr std::size_t maxSamples = std::size_t{1} << 22;
-
-    void add(double sample);
-
-    std::size_t count() const { return samples.size(); }
-    bool empty() const { return samples.empty(); }
-
-    /** Arithmetic mean. @pre !empty() */
-    double mean() const;
-
-    /** Smallest sample. @pre !empty() */
-    double min() const;
-
-    /** Largest sample. @pre !empty() */
-    double max() const;
-
-    /** Sum of all samples. */
-    double sum() const { return _sum; }
-
-    /** Population standard deviation. @pre !empty() */
-    double stddev() const;
-
-    /**
-     * p-th percentile with nearest-rank semantics.
-     * @param p in [0, 100].  @pre !empty()
-     */
-    double percentile(double p) const;
-
-    /** Median (50th percentile). @pre !empty() */
-    double median() const { return percentile(50.0); }
-
-    void reset();
-
-  private:
-    /** Sort samples into sorted_ on demand. */
-    void ensureSorted() const;
-
-    std::vector<double> samples;
-    mutable std::vector<double> sorted;
-    mutable bool sortedValid = false;
-    double _sum = 0.0;
-};
-
-/**
  * Bounded-memory cycle histogram: 64 log2 buckets plus exact min, max,
- * count and sum. Unlike SampleStat it never grows with the number of
- * samples, so it is safe to leave attached to per-trap-reason metrics
- * over arbitrarily long sweeps.
+ * count and sum. It never grows with the number of samples, so it is
+ * safe to leave attached to per-trap-reason metrics over arbitrarily
+ * long sweeps.
  */
 class HistogramStat
 {
@@ -210,63 +146,6 @@ class HistogramStat
     std::uint64_t _sum = 0;
     std::uint64_t _min = UINT64_MAX;
     std::uint64_t _max = 0;
-};
-
-/**
- * A named registry of counters and sample stats, used by machines and
- * hypervisors to expose what happened during a run (VM exits, IPIs,
- * grant copies, packets, ...). Keys are created on first use.
- */
-class StatRegistry
-{
-  public:
-    /**
-     * Counter by name, created on first use. Safe to call from
-     * concurrent shard lanes: lookup takes a shared lock, first-use
-     * insertion upgrades to exclusive. std::map nodes never move, so
-     * returned references stay valid across later insertions.
-     */
-    Counter &
-    counter(const std::string &name)
-    {
-        {
-            std::shared_lock lock(mtx);
-            auto it = counters.find(name);
-            if (it != counters.end())
-                return it->second;
-        }
-        std::unique_lock lock(mtx);
-        return counters[name];
-    }
-
-    /** SampleStat by name. NOT lane-safe: sample accumulators must
-     *  stay confined to a single shard lane (they are in practice:
-     *  each is fed from one component's lane). */
-    SampleStat &stat(const std::string &name) { return stats[name]; }
-
-    const std::map<std::string, Counter> &allCounters() const
-    {
-        return counters;
-    }
-    const std::map<std::string, SampleStat> &allStats() const
-    {
-        return stats;
-    }
-
-    /** Value of a counter, or zero if it was never touched. */
-    std::uint64_t counterValue(const std::string &name) const;
-
-    void reset();
-
-    /** Render all counters and stat summaries, one per line. */
-    std::string render() const;
-
-  private:
-    /** Guards the counters map structure (not the Counter values,
-     *  which are internally atomic). */
-    mutable std::shared_mutex mtx;
-    std::map<std::string, Counter> counters;
-    std::map<std::string, SampleStat> stats;
 };
 
 } // namespace virtsim

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "counters.hh"
 #include "hw/gic.hh"
 #include "hw/machine.hh"
 #include "hw/mmu.hh"
@@ -21,8 +22,8 @@ struct GicFixture : public ::testing::Test
 {
     EventQueue eq;
     CostModel cm = CostModel::armAtlas();
-    StatRegistry stats;
-    Gic gic{eq, cm, stats, 4};
+    MetricsDomain metrics{"machine"};
+    Gic gic{eq, cm, metrics, 4};
 };
 
 } // namespace
@@ -69,7 +70,7 @@ TEST_F(GicFixture, ListRegisterOverflow)
     for (std::size_t i = 0; i < numListRegs; ++i)
         EXPECT_GE(gic.injectVirq(0, 0, 40 + static_cast<IrqId>(i)), 0);
     EXPECT_EQ(gic.injectVirq(0, 0, 50), -1);
-    EXPECT_EQ(stats.counterValue("gic.lr_overflow"), 1u);
+    EXPECT_EQ(countOf(metrics, "gic.lr_overflow"), 1u);
 }
 
 TEST_F(GicFixture, AckWithNothingPendingReturnsMinusOne)
@@ -88,8 +89,8 @@ TEST(Apic, InjectAndAck)
 {
     EventQueue eq;
     CostModel cm = CostModel::x86Xeon();
-    StatRegistry stats;
-    Apic apic(eq, cm, stats, 4);
+    MetricsDomain metrics{"machine"};
+    Apic apic(eq, cm, metrics, 4);
     EXPECT_TRUE(apic.guestEoiTraps()); // the paper's vAPIC-less Xeons
     apic.injectVirq(0, 2, 33);
     EXPECT_EQ(apic.guestAckVirq(2), 33);
@@ -102,8 +103,8 @@ TEST(TimerBank, FiresAtDeadlineOnOwnCpu)
 {
     EventQueue eq;
     CostModel cm = CostModel::armAtlas();
-    StatRegistry stats;
-    Gic gic(eq, cm, stats, 4);
+    MetricsDomain metrics{"machine"};
+    Gic gic(eq, cm, metrics, 4);
     TimerBank timers(eq, gic, 4);
     PcpuId cpu = -1;
     Cycles when = 0;
@@ -124,8 +125,8 @@ TEST(TimerBank, CancelSuppressesFire)
 {
     EventQueue eq;
     CostModel cm = CostModel::armAtlas();
-    StatRegistry stats;
-    Gic gic(eq, cm, stats, 2);
+    MetricsDomain metrics{"machine"};
+    Gic gic(eq, cm, metrics, 2);
     TimerBank timers(eq, gic, 2);
     int fired = 0;
     gic.setPhysIrqHandler([&](Cycles, PcpuId, IrqId) { ++fired; });
@@ -139,8 +140,8 @@ TEST(TimerBank, ReprogramReplacesDeadline)
 {
     EventQueue eq;
     CostModel cm = CostModel::armAtlas();
-    StatRegistry stats;
-    Gic gic(eq, cm, stats, 2);
+    MetricsDomain metrics{"machine"};
+    Gic gic(eq, cm, metrics, 2);
     TimerBank timers(eq, gic, 2);
     std::vector<Cycles> fires;
     gic.setPhysIrqHandler(
@@ -200,8 +201,8 @@ TEST(Tlb, InvalidateVmidIsSelective)
 TEST(Mmu, TranslateChargesWalkOnMissOnly)
 {
     CostModel cm = CostModel::armAtlas();
-    StatRegistry stats;
-    Mmu mmu(cm, stats, 2);
+    MetricsDomain metrics{"machine"};
+    Mmu mmu(cm, metrics, 2);
     Stage2Tables t(1);
     t.map(0x40, 0x80);
 
@@ -222,13 +223,13 @@ TEST(Mmu, TranslateChargesWalkOnMissOnly)
 TEST(Mmu, FaultOnUnmapped)
 {
     CostModel cm = CostModel::armAtlas();
-    StatRegistry stats;
-    Mmu mmu(cm, stats, 1);
+    MetricsDomain metrics{"machine"};
+    Mmu mmu(cm, metrics, 1);
     Stage2Tables t(1);
     auto [pa, cost] = mmu.translate(0, t, 0x999);
     EXPECT_FALSE(pa.has_value());
     EXPECT_GT(cost, 0u);
-    EXPECT_EQ(stats.counterValue("mmu.stage2_fault"), 1u);
+    EXPECT_EQ(countOf(metrics, "mmu.stage2_fault"), 1u);
 }
 
 TEST(Mmu, BroadcastInvalidateReachesAllCpusAndChargesByArch)
@@ -237,7 +238,7 @@ TEST(Mmu, BroadcastInvalidateReachesAllCpusAndChargesByArch)
     // scales with CPU count on x86.
     CostModel arm = CostModel::armAtlas();
     CostModel x86 = CostModel::x86Xeon();
-    StatRegistry s1, s2;
+    MetricsDomain s1{"machine"}, s2{"machine"};
     Mmu marm(arm, s1, 8), mx86(x86, s2, 8);
     Stage2Tables t(1);
     t.map(0x1, 0x2);
@@ -258,8 +259,8 @@ TEST(Mmu, BroadcastInvalidateReachesAllCpusAndChargesByArch)
 TEST(MmuDeath, StaleTlbEntryIsABug)
 {
     CostModel cm = CostModel::armAtlas();
-    StatRegistry stats;
-    Mmu mmu(cm, stats, 1);
+    MetricsDomain metrics{"machine"};
+    Mmu mmu(cm, metrics, 1);
     Stage2Tables t(1);
     t.map(0x7, 0x8);
     (void)mmu.translate(0, t, 0x7);

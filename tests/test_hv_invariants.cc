@@ -12,6 +12,7 @@
 
 #include "core/microbench.hh"
 #include "core/testbed.hh"
+#include "counters.hh"
 
 using namespace virtsim;
 
@@ -116,13 +117,13 @@ TEST_P(HvInvariant, GuestChargeDoesNotInvolveTheHypervisor)
     // work must not produce exits.
     Testbed tb(TestbedConfig{.kind = GetParam()});
     const auto exits_before =
-        tb.machine().stats().counterValue("kvm.vm_exits") +
-        tb.machine().stats().counterValue("xen.traps");
+        countOf(tb.machine(), "kvm.vm_exits") +
+        countOf(tb.machine(), "xen.traps");
     tb.charge(0, 1, 1000000);
     tb.run();
     const auto exits_after =
-        tb.machine().stats().counterValue("kvm.vm_exits") +
-        tb.machine().stats().counterValue("xen.traps");
+        countOf(tb.machine(), "kvm.vm_exits") +
+        countOf(tb.machine(), "xen.traps");
     EXPECT_EQ(exits_before, exits_after);
     EXPECT_EQ(tb.machine().cpu(1).busyCycles(), 1000000u);
 }
@@ -144,7 +145,7 @@ TEST_P(HvInvariant, TransmitConservesPackets)
     }
     tb.run();
     EXPECT_EQ(client_got, n);
-    EXPECT_EQ(tb.machine().stats().counterValue("nic.tx_packets"),
+    EXPECT_EQ(countOf(tb.machine(), "nic.tx_packets"),
               static_cast<std::uint64_t>(n));
 }
 
@@ -166,12 +167,11 @@ TEST_P(HvInvariant, RxPathDeliversEveryAcceptedPacket)
     }
     tb.run();
     const std::uint64_t dropped =
-        tb.machine().stats().counterValue("nic.rx_dropped") +
-        tb.machine().stats().counterValue("netback.rx_no_request") +
-        tb.machine().stats().counterValue(
-            "netback.rx_backlog_dropped") +
-        tb.machine().stats().counterValue("vhost.rx_no_descriptor") +
-        tb.machine().stats().counterValue("vhost.rx_backlog_dropped");
+        countOf(tb.machine(), "nic.rx_dropped") +
+        countOf(tb.machine(), "netback.rx_no_request") +
+        countOf(tb.machine(), "netback.rx_backlog_dropped") +
+        countOf(tb.machine(), "vhost.rx_no_descriptor") +
+        countOf(tb.machine(), "vhost.rx_backlog_dropped");
     EXPECT_EQ(delivered + dropped, n);
     EXPECT_EQ(dropped, 0u);
 }

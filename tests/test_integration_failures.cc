@@ -12,6 +12,7 @@
 #include "core/netperf.hh"
 #include "core/testbed.hh"
 #include "core/workloads/workload.hh"
+#include "counters.hh"
 
 using namespace virtsim;
 
@@ -34,10 +35,9 @@ TEST(FailureInjection, XenRxRingExhaustionDropsButSurvives)
     }
     tb.run();
     const std::uint64_t dropped =
-        tb.machine().stats().counterValue("netback.rx_no_request") +
-        tb.machine().stats().counterValue(
-            "netback.rx_backlog_dropped") +
-        tb.machine().stats().counterValue("nic.rx_dropped");
+        countOf(tb.machine(), "netback.rx_no_request") +
+        countOf(tb.machine(), "netback.rx_backlog_dropped") +
+        countOf(tb.machine(), "nic.rx_dropped");
     EXPECT_EQ(delivered + dropped, 600u);
     EXPECT_GT(delivered, 0u);
 
@@ -69,10 +69,9 @@ TEST(FailureInjection, KvmTxBackpressureDrainsEventually)
     }
     tb.run();
     EXPECT_EQ(completions, n);
-    EXPECT_GT(tb.machine().stats().counterValue(
-                  "kvm.tx_backpressure"),
+    EXPECT_GT(countOf(tb.machine(), "kvm.tx_backpressure"),
               0u);
-    EXPECT_EQ(tb.machine().stats().counterValue("nic.tx_packets"),
+    EXPECT_EQ(countOf(tb.machine(), "nic.tx_packets"),
               static_cast<std::uint64_t>(n));
 }
 
@@ -108,7 +107,7 @@ TEST(Integration, StreamConservationUnderOverload)
     cfg.windowSeconds = 0.02;
     const NetperfStreamResult r = runNetperfStream(tb, cfg);
     const std::uint64_t sent =
-        tb.machine().stats().counterValue("wire.to_server");
+        countOf(tb.machine(), "wire.to_server");
     EXPECT_GT(r.framesDropped, 0u); // genuinely overloaded
     // Delivered bytes are whole frames of the same size, and the
     // accounting never invents frames (late deliveries past the
@@ -125,10 +124,10 @@ TEST(Integration, Dom0IdleChurnIsBoundedUnderLoad)
     NetperfStreamConfig cfg;
     cfg.windowSeconds = 0.004;
     (void)runNetperfStream(tb, cfg);
-    const std::uint64_t switches = tb.machine().stats().counterValue(
-        "xen.idle_domain_switches");
+    const std::uint64_t switches =
+        countOf(tb.machine(), "xen.idle_domain_switches");
     const std::uint64_t frames =
-        tb.machine().stats().counterValue("nic.rx_packets");
+        countOf(tb.machine(), "nic.rx_packets");
     EXPECT_LT(switches * 20, frames);
 }
 

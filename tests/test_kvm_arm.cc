@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/testbed.hh"
+#include "counters.hh"
 
 using namespace virtsim;
 
@@ -96,7 +97,7 @@ TEST_F(KvmArmFixture, VirqCompletionIsTheArmFastPath)
     kvm->virqComplete(0, v, [&](Cycles t) { done_at = t; });
     tb.run();
     EXPECT_EQ(done_at, 71u); // Table II: no trap
-    EXPECT_EQ(tb.machine().stats().counterValue("kvm.vm_exits"), 0u);
+    EXPECT_EQ(countOf(tb.machine(), "kvm.vm_exits"), 0u);
 }
 
 TEST_F(KvmArmFixture, InjectToRunningVcpuUsesKick)
@@ -107,10 +108,10 @@ TEST_F(KvmArmFixture, InjectToRunningVcpuUsesKick)
     tb.run();
     EXPECT_GT(handled, 0u);
     // Kick = SGI + full exit + re-entry on the target.
-    EXPECT_EQ(tb.machine().stats().counterValue("irqchip.ipi_sent"),
+    EXPECT_EQ(countOf(tb.machine(), "irqchip.ipi_sent"),
               1u);
-    EXPECT_EQ(tb.machine().stats().counterValue("kvm.vm_exits"), 1u);
-    EXPECT_EQ(tb.machine().stats().counterValue("kvm.vm_entries"), 1u);
+    EXPECT_EQ(countOf(tb.machine(), "kvm.vm_exits"), 1u);
+    EXPECT_EQ(countOf(tb.machine(), "kvm.vm_entries"), 1u);
 }
 
 TEST_F(KvmArmFixture, InjectToIdleVcpuPaysWakePath)
@@ -123,7 +124,7 @@ TEST_F(KvmArmFixture, InjectToIdleVcpuPaysWakePath)
     tb.run();
     // Wake path: vcpuWakeFromIdle dominates; no SGI needed.
     EXPECT_GT(handled, kvm->params.vcpuWakeFromIdle);
-    EXPECT_EQ(tb.machine().stats().counterValue("irqchip.ipi_sent"),
+    EXPECT_EQ(countOf(tb.machine(), "irqchip.ipi_sent"),
               0u);
     EXPECT_EQ(v.state(), VcpuState::Running);
 }
@@ -194,12 +195,12 @@ TEST_F(KvmArmFixture, TransmitSuppressesKicksWhilePumping)
         kvm->guestTransmit(tb.queue().now(), v, p, [](Cycles) {});
     }
     tb.run();
-    EXPECT_EQ(tb.machine().stats().counterValue("nic.tx_packets"), 8u);
+    EXPECT_EQ(countOf(tb.machine(), "nic.tx_packets"), 8u);
     EXPECT_GT(
-        tb.machine().stats().counterValue("kvm.tx_kick_suppressed"),
+        countOf(tb.machine(), "kvm.tx_kick_suppressed"),
         0u);
     // Far fewer exits than packets: notification suppression works.
-    EXPECT_LT(tb.machine().stats().counterValue("kvm.vm_exits"), 8u);
+    EXPECT_LT(countOf(tb.machine(), "kvm.vm_exits"), 8u);
 }
 
 TEST_F(KvmArmFixture, DeliverPacketReachesGuestDriver)

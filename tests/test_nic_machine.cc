@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "counters.hh"
 #include "hw/machine.hh"
 #include "hw/wire.hh"
 #include "os/kernel.hh"
@@ -65,7 +66,7 @@ TEST_F(NicFixture, CoalescingSuppressesBurstIrqs)
     eq.run();
     EXPECT_EQ(irqs, 2);
     EXPECT_EQ(m.nic().rxQueueDepth(), 10u);
-    EXPECT_EQ(m.stats().counterValue("nic.rx_coalesced"), 9u);
+    EXPECT_EQ(countOf(m, "nic.rx_coalesced"), 9u);
 }
 
 TEST_F(NicFixture, RxQueueCapDrops)
@@ -74,7 +75,7 @@ TEST_F(NicFixture, RxQueueCapDrops)
     for (std::size_t i = 0; i < cfg.nicParams.rxQueueCap + 50; ++i)
         m.nic().receiveFromWire(static_cast<Cycles>(i), mkPacket(1, 60));
     eq.run();
-    EXPECT_EQ(m.stats().counterValue("nic.rx_dropped"), 50u);
+    EXPECT_EQ(countOf(m, "nic.rx_dropped"), 50u);
 }
 
 TEST_F(NicFixture, TxSerializesAtLineRate)
@@ -98,8 +99,8 @@ TEST_F(NicFixture, TxSerializesAtLineRate)
 TEST(Wire, DeliversBothDirectionsWithLatency)
 {
     EventQueue eq;
-    StatRegistry stats;
-    Wire wire(eq, stats, 1000);
+    MetricsDomain metrics{"machine"};
+    Wire wire(eq, metrics, 1000);
     Cycles server_at = 0, client_at = 0;
     wire.setServerEndpoint(
         [&](Cycles t, const Packet &) { server_at = t; });
@@ -116,8 +117,8 @@ TEST(Wire, DeliversBothDirectionsWithLatency)
 TEST(MainMemory, OwnershipAndCopyCosts)
 {
     CostModel cm = CostModel::armAtlas();
-    StatRegistry stats;
-    MainMemory mem(cm, stats);
+    MetricsDomain metrics{"machine"};
+    MainMemory mem(cm, metrics);
     const BufferId b = mem.alloc("vm0", 4096);
     EXPECT_TRUE(mem.valid(b));
     EXPECT_EQ(mem.owner(b), "vm0");
@@ -126,14 +127,14 @@ TEST(MainMemory, OwnershipAndCopyCosts)
     EXPECT_EQ(mem.copyCost(1), cm.copyPerKb); // setup floor
     mem.free(b);
     EXPECT_FALSE(mem.valid(b));
-    EXPECT_EQ(stats.counterValue("mem.copies"), 2u);
+    EXPECT_EQ(countOf(metrics, "mem.copies"), 2u);
 }
 
 TEST(MainMemoryDeath, DoubleFreePanics)
 {
     CostModel cm = CostModel::armAtlas();
-    StatRegistry stats;
-    MainMemory mem(cm, stats);
+    MetricsDomain metrics{"machine"};
+    MainMemory mem(cm, metrics);
     const BufferId b = mem.alloc("host", 64);
     mem.free(b);
     EXPECT_DEATH(mem.free(b), "double free");

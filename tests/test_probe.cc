@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <new>
 #include <optional>
 #include <sstream>
@@ -20,6 +21,7 @@
 #include "core/microbench.hh"
 #include "core/netperf.hh"
 #include "core/testbed.hh"
+#include "hw/machine.hh"
 #include "sim/probe.hh"
 #include "sim/sweep.hh"
 
@@ -769,6 +771,30 @@ TEST(Metrics, DomainsAccumulateByTap)
     EXPECT_EQ(snap.histograms[0].domain, "cpu:2");
     EXPECT_EQ(snap.histograms[0].count, 1u);
     EXPECT_EQ(snap.histograms[0].min, 500u);
+
+    // Hardware components count on their machine's machine domain
+    // under their component names: three received frames are
+    // machine/nic.rx_packets = 3 with their byte total, in the
+    // snapshot and in the by-name counter list alike.
+    EventQueue eq;
+    Machine m(eq, MachineConfig::hpMoonshotM400());
+    m.irqChip().setPhysIrqHandler([](Cycles, PcpuId, IrqId) {});
+    for (int i = 0; i < 3; ++i) {
+        Packet p;
+        p.bytes = 1500;
+        m.nic().receiveFromWire(static_cast<Cycles>(i) * 1000, p);
+    }
+    eq.run();
+    std::map<std::string, std::uint64_t> hw;
+    for (const auto &r : m.metrics().snapshot().counters) {
+        if (r.domain == "machine")
+            hw[r.name] = r.value;
+    }
+    EXPECT_EQ(hw["nic.rx_packets"], 3u);
+    EXPECT_EQ(hw["nic.rx_bytes"], 4500u);
+    const auto listed = m.stats().allCounters();
+    ASSERT_EQ(listed.size(), hw.size());
+    EXPECT_EQ(listed.at("nic.rx_packets").value(), 3u);
 }
 
 TEST(MetricsDeath, LateTapAfterPrepareForParallelDies)
@@ -785,6 +811,16 @@ TEST(MetricsDeath, LateTapAfterPrepareForParallelDies)
             reg.prepareForParallel(0);
             reg.machine().counter(
                 internTap("probe.test.late.never.warmed"));
+        },
+        "after prepareForParallel");
+    // Histograms are not pre-sized by the freeze: even a tap interned
+    // before it must not grow the histogram array afterwards.
+    EXPECT_DEATH(
+        {
+            MetricsRegistry reg;
+            const TapId early = internTap("probe.test.early.hist");
+            reg.prepareForParallel(0);
+            reg.machine().histogram(early).add(1);
         },
         "after prepareForParallel");
 }

@@ -1,12 +1,9 @@
 /**
  * @file
- * Unit and property tests for the PRNG and the statistics
- * accumulators.
+ * Unit and property tests for the PRNG and the event counter.
  */
 
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "sim/random.hh"
 #include "sim/stats.hh"
@@ -79,54 +76,6 @@ TEST(Random, ChanceExtremes)
     }
 }
 
-TEST(SampleStat, BasicMoments)
-{
-    SampleStat s;
-    for (double v : {1.0, 2.0, 3.0, 4.0})
-        s.add(v);
-    EXPECT_EQ(s.count(), 4u);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 4.0);
-    EXPECT_DOUBLE_EQ(s.sum(), 10.0);
-    EXPECT_NEAR(s.stddev(), std::sqrt(1.25), 1e-12);
-}
-
-TEST(SampleStat, PercentileNearestRank)
-{
-    SampleStat s;
-    for (int i = 1; i <= 100; ++i)
-        s.add(static_cast<double>(i));
-    EXPECT_DOUBLE_EQ(s.percentile(0), 1.0);
-    EXPECT_DOUBLE_EQ(s.percentile(100), 100.0);
-    EXPECT_NEAR(s.median(), 50.5, 1e-9);
-    EXPECT_NEAR(s.percentile(90), 90.1, 0.2);
-}
-
-TEST(SampleStat, SingleSample)
-{
-    SampleStat s;
-    s.add(42.0);
-    EXPECT_DOUBLE_EQ(s.mean(), 42.0);
-    EXPECT_DOUBLE_EQ(s.median(), 42.0);
-    EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-}
-
-TEST(SampleStat, ResetClears)
-{
-    SampleStat s;
-    s.add(1.0);
-    s.reset();
-    EXPECT_TRUE(s.empty());
-    EXPECT_DOUBLE_EQ(s.sum(), 0.0);
-}
-
-TEST(SampleStatDeath, EmptyMeanPanics)
-{
-    SampleStat s;
-    EXPECT_DEATH((void)s.mean(), "mean of empty");
-}
-
 TEST(Counter, IncrementAndReset)
 {
     Counter c;
@@ -136,48 +85,3 @@ TEST(Counter, IncrementAndReset)
     c.reset();
     EXPECT_EQ(c.value(), 0u);
 }
-
-TEST(StatRegistry, CreatesOnFirstUse)
-{
-    StatRegistry reg;
-    reg.counter("a").inc(3);
-    reg.stat("b").add(1.5);
-    EXPECT_EQ(reg.counterValue("a"), 3u);
-    EXPECT_EQ(reg.counterValue("missing"), 0u);
-    EXPECT_EQ(reg.allStats().at("b").count(), 1u);
-}
-
-TEST(StatRegistry, RenderMentionsEverything)
-{
-    StatRegistry reg;
-    reg.counter("exits").inc(7);
-    reg.stat("latency").add(2.0);
-    const std::string out = reg.render();
-    EXPECT_NE(out.find("exits = 7"), std::string::npos);
-    EXPECT_NE(out.find("latency"), std::string::npos);
-}
-
-/** Property: percentile is monotone in p and bounded by min/max. */
-class PercentileMonotoneTest : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(PercentileMonotoneTest, MonotoneAndBounded)
-{
-    Random r(static_cast<std::uint64_t>(GetParam()));
-    SampleStat s;
-    const int n = 50 + GetParam() * 37;
-    for (int i = 0; i < n; ++i)
-        s.add(r.uniform(-100.0, 100.0));
-    double prev = s.min();
-    for (double p = 0; p <= 100.0; p += 2.5) {
-        const double v = s.percentile(p);
-        EXPECT_GE(v, prev - 1e-9);
-        EXPECT_GE(v, s.min());
-        EXPECT_LE(v, s.max());
-        prev = v;
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, PercentileMonotoneTest,
-                         ::testing::Range(1, 9));

@@ -666,13 +666,13 @@ TEST(FleetObservability, ShardProfileJsonExports)
     EXPECT_GT(r.parallelRounds, 0u);
     const std::string json = slurp("/tmp/fleet_prof.fleet.json");
     ASSERT_FALSE(json.empty());
-    EXPECT_NE(json.find("\"virtsim-shard-profile-2\""),
+    EXPECT_NE(json.find("\"virtsim-shard-profile-3\""),
               std::string::npos);
     EXPECT_NE(json.find("\"lanes\":4"), std::string::npos);
     EXPECT_NE(json.find("\"lanes_profiled\""), std::string::npos);
     EXPECT_NE(json.find("\"lane_detail\""), std::string::npos);
     EXPECT_NE(json.find("\"critical_channels\""), std::string::npos);
-    EXPECT_NE(json.find("\"speedup_estimate\""), std::string::npos);
+    EXPECT_NE(json.find("\"busy_over_wall\""), std::string::npos);
 }
 
 TEST(ShardSpeedup, FourLanesBeatSerialOnMulticoreHost)

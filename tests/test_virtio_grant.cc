@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "counters.hh"
 #include "hv/grant_table.hh"
 #include "hv/virtio.hh"
 #include "hv/xen_pv.hh"
@@ -115,7 +116,7 @@ TEST_F(IoFixture, GrantUnmapIncludesTlbMaintenance)
     const Cycles unmap = gt.unmap(ref);
     EXPECT_GE(unmap, gt.grantUnmapFixedCost() +
                          m.costs().tlbInvalidateBroadcast);
-    EXPECT_EQ(m.stats().counterValue("mmu.broadcast_invalidate"), 1u);
+    EXPECT_EQ(countOf(m, "mmu.broadcast_invalidate"), 1u);
 }
 
 TEST_F(IoFixture, GrantRejectsForeignBuffer)

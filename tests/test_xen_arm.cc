@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/testbed.hh"
+#include "counters.hh"
 
 using namespace virtsim;
 
@@ -68,7 +69,7 @@ TEST_F(XenArmFixture, IrqTrapStaysInEl2)
     tb.run();
     EXPECT_EQ(done_at, 1356u); // Table II
     // No domain switches: the distributor is emulated in EL2.
-    EXPECT_EQ(tb.machine().stats().counterValue("xen.domain_switches"),
+    EXPECT_EQ(countOf(tb.machine(), "xen.domain_switches"),
               0u);
 }
 
@@ -92,7 +93,7 @@ TEST_F(XenArmFixture, IoSignalOutWakesDom0FromIdle)
     // Table II: 16,491 — dominated by the idle-domain switch.
     EXPECT_NEAR(static_cast<double>(done_at), 16491.0, 16491.0 * 0.05);
     EXPECT_EQ(
-        tb.machine().stats().counterValue("xen.idle_domain_switches"),
+        countOf(tb.machine(), "xen.idle_domain_switches"),
         1u);
     EXPECT_EQ(xen->dom0().vcpu(0).state(), VcpuState::Running);
 }
@@ -122,7 +123,7 @@ TEST_F(XenArmFixture, Dom0BlocksAfterQuiescence)
     tb.clientSend(1000, p);
     tb.run();
     EXPECT_EQ(xen->dom0().vcpu(0).state(), VcpuState::Idle);
-    EXPECT_GT(tb.machine().stats().counterValue("xen.dom0_blocked"),
+    EXPECT_GT(countOf(tb.machine(), "xen.dom0_blocked"),
               0u);
 }
 
@@ -137,8 +138,8 @@ TEST_F(XenArmFixture, RxPathUsesGrantCopies)
     tb.clientSend(1000, p);
     tb.run();
     EXPECT_EQ(vm_rx, 1);
-    EXPECT_GE(tb.machine().stats().counterValue("grant.copies"), 1u);
-    EXPECT_GE(tb.machine().stats().counterValue("mem.bytes_copied"),
+    EXPECT_GE(countOf(tb.machine(), "grant.copies"), 1u);
+    EXPECT_GE(countOf(tb.machine(), "mem.bytes_copied"),
               1500u);
 }
 
@@ -153,11 +154,10 @@ TEST_F(XenArmFixture, TransmitFlowsThroughDom0ToWire)
     xen->guestTransmit(0, v, p, [&](Cycles t) { sent = t; });
     tb.run();
     EXPECT_GT(sent, 0u);
-    EXPECT_EQ(tb.machine().stats().counterValue("nic.tx_packets"), 1u);
+    EXPECT_EQ(countOf(tb.machine(), "nic.tx_packets"), 1u);
     // The payload crossed the isolation boundary via a grant.
-    EXPECT_GE(tb.machine().stats().counterValue("grant.copies") +
-                  tb.machine().stats().counterValue(
-                      "grant.copies_batched"),
+    EXPECT_GE(countOf(tb.machine(), "grant.copies") +
+                  countOf(tb.machine(), "grant.copies_batched"),
               1u);
 }
 

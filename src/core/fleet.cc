@@ -1,48 +1,22 @@
 #include "core/fleet.hh"
 
-#include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/report.hh"
+#include "core/sinks.hh"
 #include "hw/gic.hh"
 #include "hw/machine.hh"
-#include "sim/attrib.hh"
 #include "sim/channel.hh"
 #include "sim/env.hh"
-#include "sim/flight.hh"
 #include "sim/latency.hh"
 #include "sim/log.hh"
 #include "sim/random.hh"
 #include "sim/shard.hh"
-#include "sim/shard_profile.hh"
-#include "sim/slo.hh"
 
 namespace virtsim {
 
 namespace {
-
-/** "out.json" -> "out.fleet.json": fleet exports carry their own tag
- *  so a bench run arming both a testbed world and the fleet never
- *  clobbers one export with the other. */
-std::string
-perTagPath(const std::string &path)
-{
-    const std::size_t dot = path.rfind('.');
-    if (dot == std::string::npos ||
-        path.find('/', dot) != std::string::npos)
-        return path + ".fleet";
-    return path.substr(0, dot) + ".fleet" + path.substr(dot);
-}
-
-std::string
-envPath(const char *name)
-{
-    const char *p = std::getenv(name);
-    return (p && *p) ? std::string(p) : std::string();
-}
 
 /** One persistent TCP_RR connection. All fields except `cpu` are
  *  client-side state, touched only by lane-0 events. `remaining`
@@ -73,27 +47,11 @@ struct FleetWorld
     std::vector<FleetConn> conns;
     std::uint64_t transactions = 0;
 
-    /** Observability opt-ins (same env knobs as core/testbed, with a
-     *  ".fleet" path tag). */
-    std::string tracePath;
-    std::string metricsPath;
-    std::string flamePath;
-    std::string timelinePath;
-    std::string shardProfilePath;
-    std::string latencyPath;
-    double timelineHz = 100000.0;
-    std::unique_ptr<CausalAnalyzer> attrib;
-    /** Request-latency tracking armed (cfg.latency or
-     *  VIRTSIM_LATENCY). */
-    bool latencyOn = false;
-    SloEngine slo;
-
-    /** Incident forensics (VIRTSIM_INCIDENTS): the flight recorder
-     *  plus the causal span/edge taps the request path stamps so an
-     *  incident window reconstructs a nonempty critical path. The
-     *  client side stamps on a pseudo-track one past the last CPU. */
-    std::string incidentsDir;
-    FlightRecorder flight;
+    /** Every VIRTSIM_* sink, tagged "fleet". The causal span/edge
+     *  taps the request path stamps let an incident window rebuild a
+     *  nonempty critical path; the client side stamps on a
+     *  pseudo-track one past the last CPU. */
+    std::unique_ptr<Sinks> sinks;
     TapId queueTap;
     TapId serveTap;
 
@@ -211,32 +169,37 @@ struct FleetWorld
                                         wire));
         }
 
-        // Latency/SLO configuration must precede the tap warm-up:
-        // SloEngine::warmTaps() interns the slo.*/watchdog.* taps the
-        // export path stamps, and prepareForParallel below freezes
-        // the tap-indexed metric arrays.
-        armLatency();
-
         // The incident critical path walks causal spans on the
         // request path; intern their taps (and the wire-edge tap)
         // before the freeze below.
         queueTap = internTap("fleet.queue");
         serveTap = internTap("fleet.serve");
         edgeWireTap();
-
-        // Exercise the GIC path once from the setup thread (inject ->
-        // ack -> complete leaves the LR array clean; the exported
-        // gic.* counts include this one injection), then pre-size the
-        // metrics arrays for every tap the components interned when
-        // they were built: the lanes bump these counters
-        // concurrently, and counter() must not reallocate under them.
-        gic->injectVirq(0, 0, spiNicIrq);
-        gic->guestAckVirq(0);
-        gic->guestCompleteVirq(0, spiNicIrq);
         mach->probe().warmTraceHealth();
-        mach->metrics().prepareForParallel(cfg.nCpus);
 
-        armObservability(lanes);
+        // Arm before the freeze: the latency and SLO taps intern
+        // there. Everything is lane-partitioned, nothing serialized.
+        sinks = std::make_unique<Sinks>(*mach, kern, "fleet", "fleet");
+        SinkPlan sinkPlan;
+        sinkPlan.lanes = lanes;
+        sinkPlan.defaultSloP99Us = fleetDefaultSloP99Us;
+        sinkPlan.slos = cfg.slos;
+        sinkPlan.trace = cfg.trace;
+        sinkPlan.latency = cfg.latency;
+        sinks->arm(sinkPlan);
+        // The kernel drives the sinks between rounds: it samples the
+        // timeline at the barrier and flushes the trace observer in
+        // canonical merged order, byte-identical at any lane count.
+        Probe &probe = mach->probe();
+        probe.trace.setObserverDeferred(true);
+        if (probe.trace.enabled() || probe.timeline.enabled())
+            kern.attachProbe(&probe);
+
+        // Pre-size the metrics arrays for every tap the components
+        // interned when they were built: the lanes bump these
+        // counters concurrently, and counter() must not reallocate
+        // under them.
+        mach->metrics().prepareForParallel(cfg.nCpus);
 
         // VM 0's connections first, then VM 1's, and so on — a fixed
         // index order independent of shard plan and lane count, which
@@ -267,247 +230,6 @@ struct FleetWorld
             arrivalsLeft =
                 conns.size() *
                 static_cast<std::uint64_t>(cfg.transactionsPerConn);
-        }
-    }
-
-    /**
-     * Read the latency/SLO environment and configure the tracker and
-     * the SLO engine. Runs before the metrics freeze — see the call
-     * site. The default objective (when cfg.slos is empty) is the
-     * fleet contract: p99 RTT within fleetDefaultSloP99Us with at
-     * most 1% of requests above it, judged live over 2 ms burn
-     * windows. VIRTSIM_SLO_P99_US / VIRTSIM_SLO_MAX_VIOLATION
-     * override the threshold / tolerated fraction of every spec.
-     */
-    void
-    armLatency()
-    {
-        latencyPath = envPath("VIRTSIM_LATENCY");
-        latencyOn = cfg.latency || !latencyPath.empty();
-        if (!latencyOn)
-            return;
-        mach->probe().latency.configure(cfg.nCpus);
-
-        std::vector<SloSpec> specs = cfg.slos;
-        if (specs.empty()) {
-            SloSpec def;
-            def.name = "rtt_p99";
-            def.phase = LatencyPhase::Rtt;
-            def.quantile = 0.99;
-            def.thresholdCycles =
-                mach->freq().cycles(fleetDefaultSloP99Us);
-            def.maxViolationFraction = 0.01;
-            def.burnWindow = mach->freq().cycles(2000.0);
-            specs.push_back(def);
-        }
-        if (const auto us =
-                envPositiveReal("VIRTSIM_SLO_P99_US", 1e12)) {
-            for (SloSpec &s : specs)
-                s.thresholdCycles = mach->freq().cycles(*us);
-        }
-        if (const auto f =
-                envUnitFraction("VIRTSIM_SLO_MAX_VIOLATION")) {
-            for (SloSpec &s : specs)
-                s.maxViolationFraction = *f;
-        }
-        for (SloSpec &s : specs)
-            slo.addSpec(std::move(s));
-        slo.bind(&mach->probe().latency);
-        slo.warmTaps();
-    }
-
-    /**
-     * Arm the observability sinks the environment asked for, the
-     * fleet way: everything lane-partitioned, nothing serialized.
-     * Called after the tap warm-up above — prepareForParallel freezes
-     * the tap-indexed arrays, so every tap the run will stamp must be
-     * interned first.
-     */
-    void
-    armObservability(int lanes)
-    {
-        tracePath = envPath("VIRTSIM_TRACE");
-        metricsPath = envPath("VIRTSIM_METRICS");
-        flamePath = envPath("VIRTSIM_FLAME");
-        timelinePath = envPath("VIRTSIM_TIMELINE");
-        shardProfilePath = envPath("VIRTSIM_SHARD_PROFILE");
-        incidentsDir = envPath("VIRTSIM_INCIDENTS");
-        if (const auto hz = envPositiveCount("VIRTSIM_TIMELINE_HZ",
-                                             std::uint64_t{1} << 40)) {
-            timelineHz = static_cast<double>(*hz);
-        }
-        // Incident forensics needs both the stamping tee (trace) and
-        // the barrier-tick maintenance hook (timeline), so arming it
-        // arms both.
-        const bool incidentsOn = !incidentsDir.empty();
-
-        Probe &probe = mach->probe();
-        if (cfg.trace || !tracePath.empty() || !flamePath.empty() ||
-            incidentsOn) {
-            if (const auto cap = envPositiveCount(
-                    "VIRTSIM_TRACE_CAPACITY", std::uint64_t{1} << 32))
-                probe.trace.setCapacity(
-                    static_cast<std::size_t>(*cap));
-            probe.trace.enable();
-            probe.trace.prepareForParallel(lanes);
-        }
-        if (!flamePath.empty()) {
-            // The analyzer streams through the deferred observer at
-            // every lane count: the kernel flushes records to it in
-            // canonical merged order at each barrier round, so the
-            // folded stacks come out byte-identical whether one lane
-            // stamped everything or eight did.
-            attrib = std::make_unique<CausalAnalyzer>("fleet");
-            probe.trace.setObserver(attrib.get());
-            probe.trace.setObserverDeferred(true);
-        }
-        if (latencyOn) {
-            probe.latency.enable();
-            probe.latency.prepareForParallel(lanes);
-        }
-        // As in the testbed, sampling also arms under VIRTSIM_TRACE
-        // alone so the Perfetto export carries counter tracks. The
-        // kernel samples gauges between rounds (sampleTick) — the
-        // fleet never runs the in-queue tick chain. Latency tracking
-        // also arms it: the SLO engine's burn windows and rolling
-        // quantile gauges live in the sampling tick.
-        if (!timelinePath.empty() || !tracePath.empty() ||
-            latencyOn || incidentsOn) {
-            const Cycles period = std::max<Cycles>(
-                1,
-                mach->freq().cyclesFromSeconds(1.0 / timelineHz));
-            probe.timeline.enable(period);
-        }
-        // After the machine's own gauges so registration order (the
-        // export order) is stable.
-        if (slo.armed())
-            slo.installTimeline(probe.timeline, mach->freq());
-        if (incidentsOn) {
-            // enable() last: it sizes tick rows from the gauge count,
-            // so every registration (machine + SLO) must be done.
-            const double winUs =
-                envPositiveReal("VIRTSIM_INCIDENT_WINDOW_US", 1e9)
-                    .value_or(100.0);
-            const std::uint32_t icap = static_cast<std::uint32_t>(
-                envPositiveCount("VIRTSIM_INCIDENT_CAP",
-                                 std::uint64_t{1} << 20)
-                    .value_or(16));
-            flight.configure(
-                std::max<Cycles>(1, mach->freq().cycles(winUs)),
-                probe.timeline.period(), icap);
-            flight.bind(&probe.timeline,
-                        latencyOn ? &probe.latency : nullptr);
-            flight.prepareForParallel(lanes);
-            flight.enable();
-            probe.trace.setFlightRecorder(&flight);
-            FlightRecorder *fr = &flight;
-            probe.timeline.addPostSampleHook(
-                [fr](Cycles now) { fr->onSample(now); });
-            const TimelineSampler *tlp = &probe.timeline;
-            probe.timeline.setAnomalyHook(
-                [fr, tlp](Cycles now, std::uint32_t ri, bool open) {
-                    fr->onAnomaly(now, tlp->ruleName(ri), open);
-                });
-            if (slo.armed()) {
-                SloEngine *se = &slo;
-                slo.setBreachHook([fr, se](Cycles now,
-                                           std::size_t i) {
-                    fr->trigger(now, "slo." + se->specs()[i].name +
-                                         ".burn");
-                });
-            }
-        }
-        if (cfg.trace || !tracePath.empty() || !metricsPath.empty() ||
-            !flamePath.empty() || !timelinePath.empty()) {
-            probe.profiler.prepareForParallel(lanes,
-                                              internedTapCount());
-            for (int i = 0; i < lanes; ++i)
-                kern.lane(i).setProfiler(&probe.profiler);
-        }
-        if (probe.trace.enabled() || probe.timeline.enabled())
-            kern.attachProbe(&probe);
-        if (!shardProfilePath.empty())
-            kern.enableShardProfile();
-    }
-
-    /** Write every armed export. Called once, after the run. */
-    void
-    exportObservability()
-    {
-        const TimelineSampler &tl = mach->probe().timeline;
-        const ShardProfile *sp = kern.shardProfile().enabled()
-                                     ? &kern.shardProfile()
-                                     : nullptr;
-        if (!tracePath.empty()) {
-            exportChromeTrace(perTagPath(tracePath), mach->trace(),
-                              mach->freq(), "fleet", &tl, sp,
-                              flight.enabled() ? &flight : nullptr);
-        }
-        if (!incidentsDir.empty() && flight.enabled()) {
-            flight.exportIncidents(incidentsDir, mach->freq(),
-                                   "fleet");
-            const std::string s =
-                renderIncidentSummary(flight, mach->freq());
-            if (!s.empty())
-                inform("\n", s);
-        }
-        if (!shardProfilePath.empty()) {
-            exportShardProfile(perTagPath(shardProfilePath),
-                               kern.shardProfile());
-            inform("\n", renderShardSummary(kern.shardProfile()));
-        }
-        if (!flamePath.empty() && attrib)
-            attrib->writeFoldedFile(perTagPath(flamePath), "fleet");
-        if (!timelinePath.empty()) {
-            const std::string path = perTagPath(timelinePath);
-            std::ofstream os(path);
-            if (!os) {
-                warn("cannot open timeline file ", path);
-            } else if (path.size() > 4 &&
-                       path.compare(path.size() - 4, 4, ".csv") ==
-                           0) {
-                os << tl.renderCsv(mach->freq());
-            } else {
-                os << tl.renderJson(mach->freq()) << "\n";
-            }
-        }
-        if (!latencyPath.empty()) {
-            const std::string path = perTagPath(latencyPath);
-            std::ofstream os(path);
-            if (!os) {
-                warn("cannot open latency file ", path);
-            } else {
-                os << renderLatencyJson(
-                          mach->probe().latency, mach->freq(),
-                          "fleet",
-                          slo.armed()
-                              ? slo.verdictsJson(mach->freq())
-                              : std::string())
-                   << "\n";
-            }
-            inform("\n", renderLatencySummary(mach->probe().latency,
-                                              mach->freq()));
-        }
-        if (!metricsPath.empty()) {
-            mach->probe().syncTraceHealth();
-            tl.publishAnomalies(mach->metrics());
-            if (slo.armed())
-                slo.publish(mach->metrics());
-            if (envPositiveCount("VIRTSIM_SHARD_STATS", 1)) {
-                // Every lane has joined by export time, so the
-                // single-threaded publisher may intern the sparse,
-                // lane-count-dependent shard taps that could not be
-                // pre-warmed before prepareForParallel().
-                mach->metrics().endParallel();
-                kern.publishStats(mach->metrics());
-            }
-            const std::string path = perTagPath(metricsPath);
-            std::ofstream os(path);
-            if (!os) {
-                warn("cannot open metrics file ", path);
-            } else {
-                os << mach->metrics().snapshot().toJson() << "\n";
-            }
         }
     }
 
@@ -688,13 +410,8 @@ struct FleetWorld
 
         FleetResult r;
         r.finalTime = kern.run();
-        // Flush incident windows still waiting on their post-trigger
-        // half before anything exports.
-        if (flight.enabled())
-            flight.finalize(r.finalTime);
         r.transactions = transactions;
-        if (slo.armed())
-            r.sloBreaches = slo.breaches();
+        r.sloBreaches = sinks->slo().breaches();
         r.anomalies = mach->probe().timeline.anomalyCount();
 
         std::uint64_t h = 1469598103934665603ULL;
@@ -718,7 +435,7 @@ struct FleetWorld
         r.rounds = kern.stats().rounds;
         r.parallelRounds = kern.stats().parallelRounds;
         r.laneDispatches = kern.stats().laneDispatches;
-        exportObservability();
+        sinks->exportAll(r.finalTime);
         return r;
     }
 };

@@ -29,6 +29,7 @@
 #include <memory>
 #include <string>
 
+#include "core/sinks.hh"
 #include "hv/hypervisor.hh"
 #include "hv/kvm_arm.hh"
 #include "hv/kvm_arm_vhe.hh"
@@ -38,10 +39,7 @@
 #include "hw/machine.hh"
 #include "hw/wire.hh"
 #include "os/netstack.hh"
-#include "sim/attrib.hh"
-#include "sim/flight.hh"
 #include "sim/random.hh"
-#include "sim/slo.hh"
 
 namespace virtsim {
 
@@ -119,7 +117,7 @@ class Testbed
      * keeps sweep workers lock-free and reports deterministic
      * regardless of VIRTSIM_JOBS.
      */
-    CausalAnalyzer &attribution();
+    CausalAnalyzer &attribution() { return sinks->attribution(); }
     const NetstackCosts &netCosts() const { return net; }
 
     /**
@@ -223,9 +221,8 @@ class Testbed
     void
     enableTimeline(double hz)
     {
-        timelineWanted = true;
-        timelineHz = hz;
-        applyObservability();
+        sinkPlan.timelineHz = hz;
+        sinks->arm(sinkPlan);
     }
 
     /**
@@ -237,8 +234,8 @@ class Testbed
     void
     enableLatency()
     {
-        latencyWanted = true;
-        applyObservability();
+        sinkPlan.latency = true;
+        sinks->arm(sinkPlan);
     }
 
     /** The per-request phase histograms (sim/latency). Disabled until
@@ -247,35 +244,14 @@ class Testbed
 
     /** The SLO engine judging this testbed's request latency; unarmed
      *  (no specs) until latency tracking is enabled. */
-    SloEngine &sloEngine() { return slo; }
+    SloEngine &sloEngine() { return sinks->slo(); }
 
     /** Failing end-of-run SLO verdicts so far; 0 when unarmed. */
-    std::uint64_t
-    sloBreaches() const
-    {
-        return slo.armed() ? slo.breaches() : 0;
-    }
+    std::uint64_t sloBreaches() const { return sinks->slo().breaches(); }
 
   private:
     void buildNative();
     void buildVirtualized();
-    /** Apply the VIRTSIM_TRACE/METRICS/FLAME/TIMELINE opt-ins
-     *  captured at construction (trace enable, analyzer attach,
-     *  profiler hookup, sampler arming + watchdog rules), plus any
-     *  enableTimeline()/enableLatency() request. Idempotent: each
-     *  call arms only what is not armed yet. */
-    void applyObservability();
-    /**
-     * Write every export armed at construction (VIRTSIM_TRACE /
-     * METRICS / FLAME / TIMELINE / SHARD_PROFILE / LATENCY /
-     * INCIDENTS). The destructor calls it, once. No-op with no
-     * export armed.
-     */
-    void exportObservability();
-    /** Install the default watchdog rule set over the registered
-     *  gauges (stalled VCPU, sustained LR saturation, NIC queue
-     *  bound, rx-drop burst). No-op if rules are already present. */
-    void installWatchdogRules();
     PhysicalCpu &lcpuOf(int lcpu);
     Vcpu &vcpuOf(int lcpu);
 
@@ -289,28 +265,12 @@ class Testbed
     std::unique_ptr<Wire> wire_;
     Vm *guestVm = nullptr;
     NetstackCosts net;
-    std::string tracePath;   ///< VIRTSIM_TRACE destination, if set
-    std::string metricsPath; ///< VIRTSIM_METRICS destination, if set
-    std::string flamePath;   ///< VIRTSIM_FLAME destination, if set
-    std::string timelinePath; ///< VIRTSIM_TIMELINE destination, if set
-    /** VIRTSIM_SHARD_PROFILE destination, if set. */
-    std::string shardProfilePath;
-    std::string latencyPath; ///< VIRTSIM_LATENCY destination, if set
-    bool latencyWanted = false; ///< enableLatency() was called
-    /** VIRTSIM_INCIDENTS destination directory, if set. */
-    std::string incidentsDir;
-    /** Judges request latency against the configured objectives (the
-     *  default netperf-RR contract unless env overrides apply). */
-    SloEngine slo;
-    /** Incident forensics: armed by applyObservability() under
-     *  VIRTSIM_INCIDENTS, flushed in exportObservability(). */
-    FlightRecorder flight;
-    /** Sampling rate in simulated Hz (VIRTSIM_TIMELINE_HZ or
-     *  enableTimeline()); 100 kHz default keeps a Table V run well
-     *  inside the per-series capacity. */
-    double timelineHz = 100000.0;
-    bool timelineWanted = false; ///< enableTimeline() was called
-    std::unique_ptr<CausalAnalyzer> _attrib;
+    /** What this testbed asks of its sinks beyond the environment;
+     *  enableTimeline()/enableLatency() extend it and re-arm. */
+    SinkPlan sinkPlan;
+    /** Every VIRTSIM_* sink this testbed armed; exports at teardown.
+     *  Declared after the machine it observes. */
+    std::unique_ptr<Sinks> sinks;
     std::uint64_t txSeq = 0;
     /** Native-mode pending IPI completions per CPU. */
     std::array<std::deque<Done>, 8> nativeIpiDone;

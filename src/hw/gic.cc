@@ -234,7 +234,6 @@ Apic::injectVirq(Cycles t, PcpuId cpu, IrqId virq)
                    "bad pcpu ", cpu);
     pendingVirq[static_cast<std::size_t>(cpu)] = virq;
     metrics.counter(chipTaps().apicVirqInjected).inc();
-    metrics.counter(chipTaps().virqInjected).inc();
     if (probe) {
         probe->trace.instant(t, chipTaps().lrWrite, TraceCat::Irq,
                              static_cast<std::uint16_t>(cpu),

@@ -88,4 +88,43 @@ envUnitFraction(const char *name)
     return v;
 }
 
+namespace {
+
+std::string
+envPath(const char *name)
+{
+    const char *p = std::getenv(name);
+    return p != nullptr ? std::string(p) : std::string();
+}
+
+} // namespace
+
+SinkConfig
+SinkConfig::fromEnv()
+{
+    SinkConfig c;
+    c.trace = envPath("VIRTSIM_TRACE");
+    c.metrics = envPath("VIRTSIM_METRICS");
+    c.flame = envPath("VIRTSIM_FLAME");
+    c.timeline = envPath("VIRTSIM_TIMELINE");
+    c.shardProfile = envPath("VIRTSIM_SHARD_PROFILE");
+    c.latency = envPath("VIRTSIM_LATENCY");
+    c.incidents = envPath("VIRTSIM_INCIDENTS");
+    c.traceCapacity = envPositiveCount("VIRTSIM_TRACE_CAPACITY",
+                                       std::uint64_t{1} << 32)
+                          .value_or(c.traceCapacity);
+    if (const auto hz = envPositiveCount("VIRTSIM_TIMELINE_HZ",
+                                         std::uint64_t{1} << 40))
+        c.timelineHz = static_cast<double>(*hz);
+    c.shardStats = envPositiveCount("VIRTSIM_SHARD_STATS", 1).has_value();
+    c.sloP99Us = envPositiveReal("VIRTSIM_SLO_P99_US", 1e12);
+    c.sloMaxViolation = envUnitFraction("VIRTSIM_SLO_MAX_VIOLATION");
+    c.incidentWindowUs = envPositiveReal("VIRTSIM_INCIDENT_WINDOW_US", 1e9)
+                             .value_or(c.incidentWindowUs);
+    c.incidentCap = static_cast<std::uint32_t>(
+        envPositiveCount("VIRTSIM_INCIDENT_CAP", std::uint64_t{1} << 20)
+            .value_or(c.incidentCap));
+    return c;
+}
+
 } // namespace virtsim

@@ -20,40 +20,11 @@
 
 #include "core/fleet.hh"
 #include "hw/machine.hh"
+#include "scoped_env.hh"
 
 using namespace virtsim;
 
 namespace {
-
-/** Scoped environment override; restores the prior value on exit. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name(name)
-    {
-        const char *prev = std::getenv(name);
-        if (prev)
-            saved = prev;
-        had = prev != nullptr;
-        if (value)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~ScopedEnv()
-    {
-        if (had)
-            ::setenv(name, saved.c_str(), 1);
-        else
-            ::unsetenv(name);
-    }
-
-  private:
-    const char *name;
-    std::string saved;
-    bool had = false;
-};
 
 std::string
 slurp(const std::string &path)

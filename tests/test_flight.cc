@@ -72,6 +72,7 @@ operator delete[](void *p, std::size_t) noexcept
 }
 
 #include "core/fleet.hh"
+#include "scoped_env.hh"
 #include "sim/env.hh"
 #include "sim/flight.hh"
 #include "sim/probe.hh"
@@ -79,36 +80,6 @@ operator delete[](void *p, std::size_t) noexcept
 using namespace virtsim;
 
 namespace {
-
-/** Scoped environment override; restores the prior value on exit. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name(name)
-    {
-        const char *prev = std::getenv(name);
-        if (prev)
-            saved = prev;
-        had = prev != nullptr;
-        if (value)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~ScopedEnv()
-    {
-        if (had)
-            ::setenv(name, saved.c_str(), 1);
-        else
-            ::unsetenv(name);
-    }
-
-  private:
-    const char *name;
-    std::string saved;
-    bool had = false;
-};
 
 TraceRecord
 rec(Cycles when, TraceKind kind = TraceKind::Instant,

@@ -19,6 +19,7 @@
 #include "core/fleet.hh"
 #include "core/netperf.hh"
 #include "core/testbed.hh"
+#include "scoped_env.hh"
 #include "sim/env.hh"
 #include "sim/latency.hh"
 #include "sim/random.hh"
@@ -85,36 +86,6 @@ operator delete[](void *p, std::size_t) noexcept
 using namespace virtsim;
 
 namespace {
-
-/** Scoped environment override; restores the prior value on exit. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name(name)
-    {
-        const char *prev = std::getenv(name);
-        if (prev)
-            saved = prev;
-        had = prev != nullptr;
-        if (value)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~ScopedEnv()
-    {
-        if (had)
-            ::setenv(name, saved.c_str(), 1);
-        else
-            ::unsetenv(name);
-    }
-
-  private:
-    const char *name;
-    std::string saved;
-    bool had = false;
-};
 
 FleetConfig
 smallFleet()

@@ -14,41 +14,12 @@
 #include <vector>
 
 #include "core/appbench.hh"
+#include "scoped_env.hh"
 #include "sim/sweep.hh"
 
 using namespace virtsim;
 
 namespace {
-
-/** Scoped environment override; restores the prior value on exit. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name(name)
-    {
-        const char *prev = std::getenv(name);
-        if (prev)
-            saved = prev;
-        had = prev != nullptr;
-        if (value)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~ScopedEnv()
-    {
-        if (had)
-            ::setenv(name.c_str(), saved.c_str(), 1);
-        else
-            ::unsetenv(name.c_str());
-    }
-
-  private:
-    std::string name;
-    std::string saved;
-    bool had = false;
-};
 
 /** Scoped VIRTSIM_JOBS override; restores the prior value on exit. */
 class ScopedJobs : public ScopedEnv

@@ -18,6 +18,7 @@
 #include "core/microbench.hh"
 #include "core/netperf.hh"
 #include "core/testbed.hh"
+#include "scoped_env.hh"
 #include "sim/event_queue.hh"
 #include "sim/probe.hh"
 #include "sim/sweep.hh"
@@ -622,37 +623,6 @@ TEST(Timeline, NetperfRrRunIsAnomalyFree)
 // ---------------------------------------------------------------------
 // Env-knob validation (satellite: fatal on garbage, never silent).
 // ---------------------------------------------------------------------
-
-namespace {
-
-/** Scoped env override; restores the prior value on exit. */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name(name)
-    {
-        if (const char *prev = std::getenv(name))
-            saved = prev;
-        if (value)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-
-    ~ScopedEnv()
-    {
-        if (saved.empty())
-            ::unsetenv(name);
-        else
-            ::setenv(name, saved.c_str(), 1);
-    }
-
-  private:
-    const char *name;
-    std::string saved;
-};
-
-} // namespace
 
 TEST(TimelineEnv, InvalidTimelineHzIsFatal)
 {

@@ -31,7 +31,6 @@
 #ifndef VIRTSIM_SIM_CHANNEL_HH
 #define VIRTSIM_SIM_CHANNEL_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -127,13 +126,6 @@ class ShardChannel
     /** Lane messages through this channel arrive on. */
     int dstLane() const { return _dstLane; }
 
-    /** Messages sent so far (same-lane and cross-lane alike). */
-    std::uint64_t
-    sent() const
-    {
-        return _sent.load(std::memory_order_relaxed);
-    }
-
   private:
     friend class ShardedEventKernel;
 
@@ -152,9 +144,6 @@ class ShardChannel
     Cycles look;
     int _dstLane;
     bool _crossLane;
-    /** Relaxed: from-any channels (IPIs) are sent through by several
-     *  lanes concurrently; the total is order-independent. */
-    std::atomic<std::uint64_t> _sent{0};
 };
 
 } // namespace virtsim

@@ -133,6 +133,13 @@ FlightRecorder::pushRecord(const TraceRecord &r)
 {
     Seg &s = laneSeg();
     constexpr std::size_t mask = segCapacity - 1;
+    // A full segment first drops whatever the barrier's last cut made
+    // stale. Once per cut: a segment full of in-retention records
+    // would otherwise rescan on every push until the next tick.
+    if (s.count == segCapacity && s.compactedCut != cut) {
+        compact(s);
+        s.compactedCut = cut;
+    }
     if (s.count == segCapacity) {
         // Overwriting a record retention has not evicted yet: the
         // window it belonged to may capture incomplete. Count it and
@@ -150,44 +157,49 @@ FlightRecorder::pushRecord(const TraceRecord &r)
 }
 
 void
+FlightRecorder::compact(Seg &s)
+{
+    // Drop every stale record wherever it sits, preserving relative
+    // order (the canonical-merge tiebreak cares about order, not
+    // absolute positions).
+    constexpr std::size_t mask = segCapacity - 1;
+    const std::size_t start = (s.head + segCapacity - s.count) & mask;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < s.count; ++i) {
+        const TraceRecord &r = s.ring[(start + i) & mask];
+        if (r.when < cut)
+            continue;
+        s.ring[(start + kept) & mask] = r;
+        ++kept;
+    }
+    s.head = (start + kept) & mask;
+    s.count = kept;
+}
+
+void
 FlightRecorder::evict(Cycles now)
 {
     if (now <= _retention)
         return;
-    const Cycles cut = now - _retention;
+    // Publish the cut: lanes read it in pushRecord() during the
+    // rounds that follow this barrier.
+    cut = now - _retention;
     constexpr std::size_t mask = segCapacity - 1;
     for (Seg &s : segs) {
         // Pop oldest-first by stamp time. Records may be stamped out
         // of when-order (frontier charging future-dates span Ends;
         // completion-time stamping back-dates whole spans), so a
         // young-stamped record near the tail stops this fast path
-        // early — which only under-evicts.
+        // early. What it leaves behind is never read — captures only
+        // look at records stamped at or after their window's begin,
+        // which is later than any cut — and the owning lane compacts
+        // it away when a push finds the segment full.
         while (s.count > 0) {
             const std::size_t tail =
                 (s.head + segCapacity - s.count) & mask;
             if (s.ring[tail].when >= cut)
                 break;
             --s.count;
-        }
-        // When under-eviction has let the segment grow near capacity,
-        // compact in place: drop every stale record wherever it sits,
-        // preserving relative order (the canonical-merge tiebreak
-        // cares about order, not absolute positions). Barrier
-        // context, so the owning lane is quiescent.
-        if (s.count >= segCapacity - segCapacity / 4) {
-            const std::size_t start =
-                (s.head + segCapacity - s.count) & mask;
-            std::size_t kept = 0;
-            for (std::size_t i = 0; i < s.count; ++i) {
-                const TraceRecord &r =
-                    s.ring[(start + i) & mask];
-                if (r.when < cut)
-                    continue;
-                s.ring[(start + kept) & mask] = r;
-                ++kept;
-            }
-            s.head = (start + kept) & mask;
-            s.count = kept;
         }
     }
     while (rowCount > 0) {
@@ -233,6 +245,9 @@ FlightRecorder::collectWindow(Cycles begin, Cycles end) const
     };
     std::vector<Ref> refs;
     constexpr std::size_t mask = segCapacity - 1;
+    // Stale records a segment still holds are not retained, whether or
+    // not their lane has compacted them away yet.
+    begin = begin > cut ? begin : cut;
     for (const Seg &s : segs) {
         for (std::size_t i = 0; i < s.count; ++i) {
             const std::size_t slot =
@@ -451,9 +466,15 @@ FlightRecorder::incident(std::size_t i) const
 std::size_t
 FlightRecorder::retainedRecords() const
 {
+    constexpr std::size_t mask = segCapacity - 1;
     std::size_t n = 0;
-    for (const Seg &s : segs)
-        n += s.count;
+    for (const Seg &s : segs) {
+        for (std::size_t i = 0; i < s.count; ++i) {
+            const std::size_t slot =
+                (s.head + segCapacity - s.count + i) & mask;
+            n += s.ring[slot].when >= cut ? 1 : 0;
+        }
+    }
     return n;
 }
 
@@ -629,7 +650,9 @@ FlightRecorder::reset()
         s.total = 0;
         s.forced = 0;
         s.maxForcedWhen = 0;
+        s.compactedCut = 0;
     }
+    cut = 0;
     rowHead = 0;
     rowCount = 0;
     pendings.clear();

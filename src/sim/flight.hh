@@ -15,10 +15,10 @@
  * Cost model mirrors TraceSink: the stamping tee (record()) is one
  * predictable branch while disabled and lane-local ring stores while
  * enabled — zero cross-lane synchronization, zero allocation. All
- * bookkeeping (eviction, reference sealing, incident capture) runs in
- * a timeline post-sample hook: barrier context, every lane quiescent,
- * at period-aligned simulated instants — so it is race-free and its
- * results are lane-count independent.
+ * other bookkeeping (the eviction cut, reference sealing, incident
+ * capture) runs in a timeline post-sample hook: barrier context,
+ * every lane quiescent, at period-aligned simulated instants — so it
+ * is race-free and its results are lane-count independent.
  *
  * Window model: a trigger at simulated time t freezes [t−W, t+W]
  * (W = VIRTSIM_INCIDENT_WINDOW_US, owned by the world that arms the
@@ -29,6 +29,14 @@
  * < R. Span End records may be stamped *ahead* of the event that
  * produced them (frontier charging), so eviction is driven by the
  * barrier clock only — never by stamped record times.
+ *
+ * Eviction costs what it evicts. Each barrier tick publishes the cut
+ * now − R and pops stale records off each segment's tail, stopping at
+ * the first in-retention one. Stale records stuck behind it stay until
+ * a push finds their segment full; the owning lane then compacts them
+ * away, at most once per published cut. Since any window still to be
+ * captured begins after the latest cut, eviction timing never changes
+ * what a capture reads — only when a full segment overwrites.
  *
  * Trigger sources: watchdog anomaly open/close (TimelineSampler's
  * anomaly hook) and SLO burn breach (SloEngine's breach hook).
@@ -124,9 +132,11 @@ struct FlightIncident
 class FlightRecorder
 {
   public:
-    /** Per-lane window ring capacity (records). Sized so a serial
-     *  (single-segment) overload window never wraps; more lanes only
-     *  add capacity. */
+    /** Per-lane window ring capacity (records). More lanes add
+     *  capacity, but one lane can fill its segment with in-retention
+     *  records and overwrite some: the serial fleet overload run does.
+     *  An overwrite of a record at or after a window's begin marks
+     *  that incident truncated. */
     static constexpr std::size_t segCapacity = 1u << 15;
 
     FlightRecorder() = default;
@@ -211,7 +221,8 @@ class FlightRecorder
     /** Trigger firings lost to the incident cap. */
     std::uint64_t incidentsDropped() const { return _dropped; }
 
-    /** Records currently retained across all lane segments. */
+    /** Records retained across all lane segments: those stamped at
+     *  or after the last published cut. */
     std::size_t retainedRecords() const;
 
     /** The healthy reference window, once sealed. */
@@ -254,6 +265,7 @@ class FlightRecorder
         std::uint64_t total = 0;  ///< records ever written here
         std::uint64_t forced = 0; ///< overwrites of unevicted records
         Cycles maxForcedWhen = 0; ///< newest stamp lost to overwrite
+        Cycles compactedCut = 0;  ///< cut the lane last compacted to
     };
 
     /** A trigger whose post-window has not elapsed yet. */
@@ -267,6 +279,7 @@ class FlightRecorder
 
     Seg &laneSeg();
     void pushRecord(const TraceRecord &r);
+    void compact(Seg &s);
     void evict(Cycles now);
     void appendRow(Cycles now);
     void sealReference(Cycles now);
@@ -280,6 +293,9 @@ class FlightRecorder
     Cycles window = 0;     ///< half-width W
     Cycles _period = 0;
     Cycles _retention = 0; ///< 2W + 8·period
+    /** Records stamped before this are stale: now − R at the last
+     *  eviction tick. Written at barriers, read by lanes on push. */
+    Cycles cut = 0;
     std::uint32_t cap = 0; ///< captured-incident cap
 
     std::vector<Seg> segs = std::vector<Seg>(1);

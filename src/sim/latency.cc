@@ -1,5 +1,6 @@
 #include "sim/latency.hh"
 
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -8,52 +9,110 @@
 
 namespace virtsim {
 
+namespace {
+
+/**
+ * Nearest-rank quantile of the bucket-wise sum of every histogram
+ * `each` visits: the highest value equivalent to the sample of rank
+ * ceil(q * count), clamped into the exact [min, max] of the visited
+ * histograms — what quantile() on their merge returns. The group
+ * counts locate the group holding the rank; only that group's
+ * sub-buckets are summed to find the bucket.
+ */
+template <class Each>
+std::uint64_t
+quantileOver(Each &&each, double q)
+{
+    using H = LatencyHistogram;
+    std::uint64_t total = 0, lo = UINT64_MAX, hi = 0;
+    std::array<std::uint64_t, H::numGroups> groups{};
+    each([&](const H &h) {
+        if (h.empty())
+            return;
+        total += h.count();
+        lo = h.min() < lo ? h.min() : lo;
+        hi = h.max() > hi ? h.max() : hi;
+        for (std::size_t g = 0; g < H::numGroups; ++g)
+            groups[g] += h.groupCount(g);
+    });
+    if (total == 0)
+        return 0;
+    if (q <= 0.0)
+        return lo;
+    if (q >= 1.0)
+        return hi;
+    // Nearest rank: the k-th smallest sample, k = ceil(q * count).
+    std::uint64_t rank = static_cast<std::uint64_t>(
+        std::ceil(q * static_cast<double>(total)));
+    if (rank < 1)
+        rank = 1;
+    if (rank > total)
+        rank = total;
+    // rank <= total, so both scans stop inside the arrays.
+    std::uint64_t cum = 0;
+    std::size_t g = 0;
+    while (cum + groups[g] < rank)
+        cum += groups[g++];
+    const std::size_t first = g << H::subBucketBits;
+    std::array<std::uint64_t, H::subBuckets> sub{};
+    each([&](const H &h) {
+        if (h.empty())
+            return;
+        for (std::size_t j = 0; j < H::subBuckets; ++j)
+            sub[j] += h.bucketCount(first + j);
+    });
+    std::size_t j = 0;
+    while ((cum += sub[j]) < rank)
+        ++j;
+    // Highest equivalent value, clamped into the exact observed range.
+    std::uint64_t v = H::bucketHigh(first + j);
+    v = v > hi ? hi : v;
+    v = v < lo ? lo : v;
+    return v;
+}
+
+/** Samples in buckets above bucketOf(threshold), summed over every
+ *  histogram `each` visits: the rest of the threshold's group from
+ *  sub-buckets, every later group from its group count. */
+template <class Each>
+std::uint64_t
+countAboveOver(Each &&each, std::uint64_t threshold)
+{
+    using H = LatencyHistogram;
+    const std::size_t b = H::bucketOf(threshold);
+    const std::size_t g = b >> H::subBucketBits;
+    const std::size_t groupEnd = (g + 1) << H::subBucketBits;
+    std::uint64_t above = 0;
+    each([&](const H &h) {
+        if (h.empty() || threshold >= h.max())
+            return;
+        for (std::size_t i = b + 1; i < groupEnd; ++i)
+            above += h.bucketCount(i);
+        for (std::size_t k = g + 1; k < H::numGroups; ++k)
+            above += h.groupCount(k);
+    });
+    return above;
+}
+
+} // namespace
+
 std::uint64_t
 LatencyHistogram::quantile(double q) const
 {
-    if (_count == 0)
-        return 0;
-    if (q <= 0.0)
-        return _min;
-    if (q >= 1.0)
-        return _max;
-    // Nearest rank: the k-th smallest sample, k = ceil(q * count).
-    std::uint64_t rank = static_cast<std::uint64_t>(
-        std::ceil(q * static_cast<double>(_count)));
-    if (rank < 1)
-        rank = 1;
-    if (rank > _count)
-        rank = _count;
-    std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < numBuckets; ++i) {
-        cum += buckets[i];
-        if (cum >= rank) {
-            // Highest equivalent value, clamped into the exact
-            // observed range.
-            std::uint64_t v = bucketHigh(i);
-            v = v > _max ? _max : v;
-            v = v < _min ? _min : v;
-            return v;
-        }
-    }
-    return _max; // unreachable: cum == _count by then
+    return quantileOver([this](auto &&fn) { fn(*this); }, q);
 }
 
 std::uint64_t
 LatencyHistogram::countAbove(std::uint64_t threshold) const
 {
-    if (_count == 0 || threshold >= _max)
-        return 0;
-    std::uint64_t above = 0;
-    for (std::size_t i = bucketOf(threshold) + 1; i < numBuckets; ++i)
-        above += buckets[i];
-    return above;
+    return countAboveOver([this](auto &&fn) { fn(*this); }, threshold);
 }
 
 void
 LatencyHistogram::reset()
 {
     buckets.fill(0);
+    groups.fill(0);
     _count = 0;
     _sum = 0;
     _min = UINT64_MAX;
@@ -148,13 +207,8 @@ std::uint64_t
 RequestTracker::totalCount(LatencyPhase phase, int cpu) const
 {
     std::uint64_t n = 0;
-    for (const auto &seg : segs) {
-        for (int c = 0; c < _cpus; ++c) {
-            if (cpu >= 0 && c != cpu)
-                continue;
-            n += seg[slotOf(c, phase)].count();
-        }
-    }
+    forSelected(phase, cpu,
+                [&](const LatencyHistogram &h) { n += h.count(); });
     return n;
 }
 
@@ -162,13 +216,8 @@ std::uint64_t
 RequestTracker::totalSum(LatencyPhase phase, int cpu) const
 {
     std::uint64_t n = 0;
-    for (const auto &seg : segs) {
-        for (int c = 0; c < _cpus; ++c) {
-            if (cpu >= 0 && c != cpu)
-                continue;
-            n += seg[slotOf(c, phase)].sum();
-        }
-    }
+    forSelected(phase, cpu,
+                [&](const LatencyHistogram &h) { n += h.sum(); });
     return n;
 }
 
@@ -176,64 +225,16 @@ std::uint64_t
 RequestTracker::totalAbove(LatencyPhase phase,
                            std::uint64_t threshold, int cpu) const
 {
-    std::uint64_t n = 0;
-    for (const auto &seg : segs) {
-        for (int c = 0; c < _cpus; ++c) {
-            if (cpu >= 0 && c != cpu)
-                continue;
-            n += seg[slotOf(c, phase)].countAbove(threshold);
-        }
-    }
-    return n;
+    return countAboveOver(
+        [&](auto &&fn) { forSelected(phase, cpu, fn); }, threshold);
 }
 
 std::uint64_t
 RequestTracker::quantileAcross(LatencyPhase phase, double q,
                                int cpu) const
 {
-    const std::uint64_t total = totalCount(phase, cpu);
-    if (total == 0)
-        return 0;
-    // Exact min/max across the selected slots for clamping.
-    std::uint64_t lo = UINT64_MAX, hi = 0;
-    for (const auto &seg : segs) {
-        for (int c = 0; c < _cpus; ++c) {
-            if (cpu >= 0 && c != cpu)
-                continue;
-            const LatencyHistogram &h = seg[slotOf(c, phase)];
-            if (h.empty())
-                continue;
-            lo = h.min() < lo ? h.min() : lo;
-            hi = h.max() > hi ? h.max() : hi;
-        }
-    }
-    if (q <= 0.0)
-        return lo;
-    if (q >= 1.0)
-        return hi;
-    std::uint64_t rank = static_cast<std::uint64_t>(
-        std::ceil(q * static_cast<double>(total)));
-    if (rank < 1)
-        rank = 1;
-    if (rank > total)
-        rank = total;
-    std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < LatencyHistogram::numBuckets; ++i) {
-        for (const auto &seg : segs) {
-            for (int c = 0; c < _cpus; ++c) {
-                if (cpu >= 0 && c != cpu)
-                    continue;
-                cum += seg[slotOf(c, phase)].bucketCount(i);
-            }
-        }
-        if (cum >= rank) {
-            std::uint64_t v = LatencyHistogram::bucketHigh(i);
-            v = v > hi ? hi : v;
-            v = v < lo ? lo : v;
-            return v;
-        }
-    }
-    return hi;
+    return quantileOver([&](auto &&fn) { forSelected(phase, cpu, fn); },
+                        q);
 }
 
 void

@@ -51,6 +51,13 @@ namespace virtsim {
  * Exact count, sum, min and max are tracked alongside, so means are
  * exact and quantiles clamp into the observed range.
  *
+ * A second level of 58 group counts, one per 128-bucket group
+ * (bucket >> subBucketBits), lets quantile and threshold queries
+ * skip empty stretches: they locate the group holding the answer
+ * from the group counts, then scan only that group's sub-buckets —
+ * at most 186 counters per histogram instead of 7424. The SLO engine
+ * asks both questions on every timeline tick.
+ *
  * merge() is bucket-wise integer addition plus exact count/sum/
  * min/max folds: exact, commutative and associative, which is what
  * makes per-lane shards deterministic to merge in any order.
@@ -67,6 +74,8 @@ class LatencyHistogram
     /** Octaves above the exact region: bit widths m+2 .. 64. */
     static constexpr std::size_t numBuckets = static_cast<std::size_t>(
         (64 - subBucketBits + 1) * subBuckets);
+    /** Groups of subBuckets consecutive buckets (the second level). */
+    static constexpr std::size_t numGroups = numBuckets >> subBucketBits;
 
     /** Bucket index a value lands in. */
     static constexpr std::size_t
@@ -112,7 +121,9 @@ class LatencyHistogram
     void
     add(std::uint64_t v)
     {
-        ++buckets[bucketOf(v)];
+        const std::size_t b = bucketOf(v);
+        ++buckets[b];
+        ++groups[b >> subBucketBits];
         ++_count;
         _sum += v;
         _min = v < _min ? v : _min;
@@ -166,12 +177,17 @@ class LatencyHistogram
         return buckets[i];
     }
 
+    /** Samples in buckets [g << subBucketBits, (g + 1) << subBucketBits). */
+    std::uint64_t groupCount(std::size_t g) const { return groups[g]; }
+
     /** Fold another histogram in: exact and order-independent. */
     void
     merge(const LatencyHistogram &o)
     {
         for (std::size_t i = 0; i < numBuckets; ++i)
             buckets[i] += o.buckets[i];
+        for (std::size_t g = 0; g < numGroups; ++g)
+            groups[g] += o.groups[g];
         _count += o._count;
         _sum += o._sum;
         _min = o._min < _min ? o._min : _min;
@@ -185,6 +201,7 @@ class LatencyHistogram
 
   private:
     std::array<std::uint64_t, numBuckets> buckets{};
+    std::array<std::uint64_t, numGroups> groups{};
     std::uint64_t _count = 0;
     std::uint64_t _sum = 0;
     std::uint64_t _min = UINT64_MAX;
@@ -291,10 +308,11 @@ class RequestTracker
                              int cpu = -1) const;
 
     /**
-     * Streaming aggregate quantile: walks the bucket axis summing
-     * lane segments on the fly, so the per-sample cost is bucket
-     * visits rather than histogram copies. Used by the SLO engine's
-     * per-tick rolling quantile gauge. Same result as
+     * Streaming aggregate quantile: sums the selected slots' group
+     * counts, then the sub-buckets of the one group holding the rank,
+     * so the per-sample cost is at most 186 counter reads per slot
+     * rather than histogram copies. Used by the SLO engine's per-tick
+     * rolling quantile gauge. Same result as
      * aggregate(phase).quantile(q), byte for byte.
      */
     std::uint64_t quantileAcross(LatencyPhase phase, double q,
@@ -307,6 +325,18 @@ class RequestTracker
 
   private:
     void recordEnabled(int cpu, LatencyPhase phase, Cycles value);
+
+    /** Call fn(histogram) on every lane segment's slot for `phase`
+     *  and `cpu` (every CPU when cpu < 0). */
+    template <class Fn>
+    void
+    forSelected(LatencyPhase phase, int cpu, Fn &&fn) const
+    {
+        for (const auto &seg : segs)
+            for (int c = 0; c < _cpus; ++c)
+                if (cpu < 0 || c == cpu)
+                    fn(seg[slotOf(c, phase)]);
+    }
 
     std::size_t
     slotOf(int cpu, LatencyPhase phase) const

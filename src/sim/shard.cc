@@ -212,7 +212,6 @@ ShardedEventKernel::channel(std::string name, ShardId src, ShardId dst,
 EventId
 ShardChannel::send(Cycles when, TapId label, EventFn fn)
 {
-    _sent.fetch_add(1, std::memory_order_relaxed);
     return kern->channelSend(*this, when, label, std::move(fn));
 }
 

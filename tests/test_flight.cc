@@ -155,9 +155,9 @@ TEST(FlightRetention, OutOfOrderStampsStayUntilStale)
     fr.enable();
 
     // A young-stamped record written first blocks the tail fast
-    // path; the stale records behind it must still go once the
-    // segment nears capacity (the compaction path), and the young
-    // record itself must survive.
+    // path; the stale records behind it must still stop counting as
+    // retained once the cut passes them, and the young record itself
+    // must survive.
     fr.record(rec(100000));
     const std::size_t fill = FlightRecorder::segCapacity -
                              FlightRecorder::segCapacity / 4 + 8;
@@ -167,6 +167,35 @@ TEST(FlightRetention, OutOfOrderStampsStayUntilStale)
 
     fr.onSample(50000); // cut = 48200: everything but the young one
     EXPECT_EQ(fr.retainedRecords(), 1u);
+}
+
+TEST(FlightRetention, FullStaleSegmentMakesRoomOnNextPush)
+{
+    FlightRecorder fr;
+    fr.configure(500, 100, 4);
+    fr.enable();
+
+    // A young record at the tail stops the barrier's tail pop at
+    // once, so the segment stays full of stale records; the next push
+    // must compact them away rather than overwrite the young one
+    // (the oldest slot), which would lose it and flag the incident
+    // around it truncated.
+    fr.record(rec(100000));
+    for (std::size_t i = 1; i < FlightRecorder::segCapacity; ++i)
+        fr.record(rec(10));
+    fr.onSample(50000); // cut = 48200
+    EXPECT_EQ(fr.retainedRecords(), 1u);
+
+    fr.record(rec(50000));
+    EXPECT_EQ(fr.retainedRecords(), 2u);
+
+    fr.trigger(100000, "watchdog.x.open");
+    fr.onSample(100600);
+    ASSERT_EQ(fr.incidentCount(), 1u);
+    const FlightIncident &inc = fr.incident(0);
+    EXPECT_FALSE(inc.truncated);
+    ASSERT_EQ(inc.records.size(), 1u);
+    EXPECT_EQ(inc.records[0].when, 100000u);
 }
 
 // ---------------------------------------------------------------------

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <new>
@@ -21,6 +23,7 @@
 #include "core/testbed.hh"
 #include "scoped_env.hh"
 #include "sim/env.hh"
+#include "sim/lane.hh"
 #include "sim/latency.hh"
 #include "sim/random.hh"
 #include "sim/slo.hh"
@@ -224,6 +227,107 @@ TEST(LatencyHistogramQuantiles, CountAboveExactInExactRegion)
     EXPECT_EQ(h.countAbove(UINT64_MAX), 0u);
 }
 
+namespace {
+
+/** What quantile() promises, from the sorted samples: the bucket
+ *  high of the nearest-rank sample, clamped into [min, max]. */
+std::uint64_t
+bruteQuantile(const std::vector<std::uint64_t> &sorted, double q)
+{
+    if (sorted.empty())
+        return 0;
+    if (q <= 0.0)
+        return sorted.front();
+    if (q >= 1.0)
+        return sorted.back();
+    std::size_t rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(sorted.size())));
+    rank = std::clamp<std::size_t>(rank, 1, sorted.size());
+    const std::uint64_t v = LatencyHistogram::bucketHigh(
+        LatencyHistogram::bucketOf(sorted[rank - 1]));
+    return std::clamp(v, sorted.front(), sorted.back());
+}
+
+/** What countAbove() promises: samples in a bucket above the
+ *  threshold's bucket. */
+std::uint64_t
+bruteCountAbove(const std::vector<std::uint64_t> &samples,
+                std::uint64_t threshold)
+{
+    const std::size_t tb = LatencyHistogram::bucketOf(threshold);
+    std::uint64_t n = 0;
+    for (std::uint64_t v : samples)
+        n += LatencyHistogram::bucketOf(v) > tb ? 1 : 0;
+    return n;
+}
+
+/** Values spread over every octave of uint64, with extra mass in the
+ *  exact region and on power-of-two edges. */
+std::uint64_t
+spreadValue(Random &rng)
+{
+    switch (rng.below(4)) {
+      case 0:
+        return rng.below(300);
+      case 1: {
+        const std::uint64_t p = std::uint64_t{1} << rng.below(64);
+        return rng.below(2) ? p : p - 1;
+      }
+      default:
+        return rng.next() >> rng.below(64);
+    }
+}
+
+/** Thresholds at and around bucket and group edges: 255/256, 2^k−1
+ *  and 2^k for every octave, each group's first bucket low, and the
+ *  top bucket. */
+std::vector<std::uint64_t>
+edgeThresholds()
+{
+    std::vector<std::uint64_t> t = {0, 1, 127, 128, 254, 255, 256, 257,
+                                    UINT64_MAX - 1, UINT64_MAX};
+    for (unsigned k = 8; k < 64; ++k) {
+        const std::uint64_t p = std::uint64_t{1} << k;
+        t.insert(t.end(), {p - 1, p, p + 1});
+    }
+    for (std::size_t g = 0; g < LatencyHistogram::numGroups; ++g) {
+        const std::size_t b = g << LatencyHistogram::subBucketBits;
+        t.push_back(LatencyHistogram::bucketLow(b));
+        if (b > 0)
+            t.push_back(LatencyHistogram::bucketHigh(b - 1));
+    }
+    t.push_back(
+        LatencyHistogram::bucketLow(LatencyHistogram::numBuckets - 1));
+    return t;
+}
+
+} // namespace
+
+TEST(LatencyHistogramQuantiles, MatchSortedBruteForce)
+{
+    Random rng(4242);
+    const std::vector<std::uint64_t> thresholds = edgeThresholds();
+    for (int n : {1, 2, 7, 300, 5000}) {
+        LatencyHistogram h;
+        std::vector<std::uint64_t> all;
+        for (int i = 0; i < n; ++i) {
+            const std::uint64_t v = spreadValue(rng);
+            h.add(v);
+            all.push_back(v);
+        }
+        std::sort(all.begin(), all.end());
+        for (double q : {0.0, 0.001, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0})
+            ASSERT_EQ(h.quantile(q), bruteQuantile(all, q))
+                << "n=" << n << " q=" << q;
+        for (std::uint64_t t : thresholds)
+            ASSERT_EQ(h.countAbove(t), bruteCountAbove(all, t))
+                << "n=" << n << " threshold=" << t;
+    }
+    const LatencyHistogram empty;
+    EXPECT_EQ(empty.quantile(0.5), 0u);
+    EXPECT_EQ(empty.countAbove(0), 0u);
+}
+
 // ---------------------------------------------------------------------
 // Merge exactness
 // ---------------------------------------------------------------------
@@ -291,6 +395,50 @@ TEST(RequestTracker, RecordsPerCpuPerPhaseAndAggregates)
     EXPECT_TRUE(t.enabled());
     EXPECT_EQ(t.cpus(), 2);
     EXPECT_EQ(t.totalCount(LatencyPhase::Rtt), 0u);
+}
+
+TEST(RequestTracker, StreamingQueriesMatchMergedHistograms)
+{
+    // quantileAcross/totalAbove answer from group counts and one
+    // group's sub-buckets, summed over lane segments on the fly; they
+    // must equal the materialized merge's quantile/countAbove at
+    // every lane count, CPU selection, quantile and edge threshold.
+    const std::vector<std::uint64_t> thresholds = edgeThresholds();
+    for (int lanes : {1, 3}) {
+        Random rng(static_cast<std::uint64_t>(77 + lanes));
+        RequestTracker t;
+        t.configure(3);
+        t.prepareForParallel(lanes);
+        t.enable();
+        for (int i = 0; i < 6000; ++i) {
+            const LaneScope lane(static_cast<int>(rng.below(3)));
+            // CPU 2 never records Service: an empty per-CPU slot.
+            const int cpu = static_cast<int>(rng.below(3));
+            const LatencyPhase ph = (cpu == 2 || rng.below(2))
+                                        ? LatencyPhase::Rtt
+                                        : LatencyPhase::Service;
+            t.record(cpu, ph, spreadValue(rng));
+        }
+        for (LatencyPhase ph : {LatencyPhase::Rtt, LatencyPhase::Service,
+                                LatencyPhase::WireFlight}) {
+            for (int cpu = -1; cpu < 3; ++cpu) {
+                const LatencyHistogram h =
+                    cpu < 0 ? t.aggregate(ph) : t.merged(cpu, ph);
+                for (double q : {0.0, 0.5, 0.99, 0.999, 1.0})
+                    ASSERT_EQ(t.quantileAcross(ph, q, cpu),
+                              h.quantile(q))
+                        << "lanes=" << lanes << " phase="
+                        << to_string(ph) << " cpu=" << cpu
+                        << " q=" << q;
+                for (std::uint64_t th : thresholds)
+                    ASSERT_EQ(t.totalAbove(ph, th, cpu),
+                              h.countAbove(th))
+                        << "lanes=" << lanes << " phase="
+                        << to_string(ph) << " cpu=" << cpu
+                        << " threshold=" << th;
+            }
+        }
+    }
 }
 
 TEST(RequestTrackerFastPath, DisabledStampAllocatesNothing)

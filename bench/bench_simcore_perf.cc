@@ -459,22 +459,16 @@ BENCHMARK(BM_ShardedKernelTraced)->Unit(benchmark::kMillisecond);
  *  each and go idle early, so most rounds run with a handful of
  *  runnable lanes out of hundreds. This is the shape the sparse
  *  coordinator exists for — per-round cost O(active lanes + traffic
- *  edges) — and the Dense variants rerun the identical world on the
- *  O(lanes^2) reference coordinator (byte-identical results,
- *  asserted in test_fleet_scale). bench_compare.sh reports the
- *  dense/sparse ratio as the fleet-scale speedup line; unlike the
- *  crew-parallelism lines it does not need a multicore host, since
- *  the win is coordinator arithmetic, not thread count. */
+ *  edges); test_fleet_scale asserts the elision through the dispatch
+ *  counters on the same 256-VM world. */
 void
-fleetScaleBench(benchmark::State &state, int vms, bool dense)
+fleetScaleBench(benchmark::State &state, int vms)
 {
     FleetConfig cfg;
     cfg.nVms = vms;
     cfg.transactionsPerConn = 8;
     cfg.connsByVm.assign(static_cast<std::size_t>(vms), 1);
     cfg.connsByVm[0] = 24;
-    if (dense)
-        ::setenv("VIRTSIM_SHARD_DENSE", "1", 1);
     std::uint64_t tx = 0;
     for (auto _ : state) {
         const FleetResult r = runNetperfRrFleet(cfg, vms);
@@ -482,8 +476,6 @@ fleetScaleBench(benchmark::State &state, int vms, bool dense)
         benchmark::DoNotOptimize(tx);
         benchmark::DoNotOptimize(r.checksum);
     }
-    if (dense)
-        ::unsetenv("VIRTSIM_SHARD_DENSE");
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(tx));
 }
@@ -491,30 +483,16 @@ fleetScaleBench(benchmark::State &state, int vms, bool dense)
 void
 BM_FleetScale64(benchmark::State &state)
 {
-    fleetScaleBench(state, 64, false);
+    fleetScaleBench(state, 64);
 }
 BENCHMARK(BM_FleetScale64)->Unit(benchmark::kMillisecond);
 
 void
-BM_FleetScale64Dense(benchmark::State &state)
-{
-    fleetScaleBench(state, 64, true);
-}
-BENCHMARK(BM_FleetScale64Dense)->Unit(benchmark::kMillisecond);
-
-void
 BM_FleetScale256(benchmark::State &state)
 {
-    fleetScaleBench(state, 256, false);
+    fleetScaleBench(state, 256);
 }
 BENCHMARK(BM_FleetScale256)->Unit(benchmark::kMillisecond);
-
-void
-BM_FleetScale256Dense(benchmark::State &state)
-{
-    fleetScaleBench(state, 256, true);
-}
-BENCHMARK(BM_FleetScale256Dense)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

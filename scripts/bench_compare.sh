@@ -155,20 +155,6 @@ if sharded and traced:
     print(f"bench_compare: traced sharded overhead "
           f"(traced / untraced, 4 lanes): {traced / sharded:.2f}x")
 
-# Informational: the sparse coordinator's win on fleet-scale lane
-# counts. Each pair runs the identical skewed fleet world (results
-# byte-identical) under the sparse worklist coordinator vs the dense
-# O(lanes^2) reference; the ratio is pure coordinator cost, so it
-# holds on any host — expect >= 2x at 256 VMs and growing with lane
-# count, the O(active lanes + traffic edges) scaling story.
-for vms in (64, 256):
-    sparse = cur.get(f"BM_FleetScale{vms}")
-    dense = cur.get(f"BM_FleetScale{vms}Dense")
-    if sparse and dense:
-        print(f"bench_compare: fleet-scale sparse-coordinator "
-              f"speedup (dense / sparse, {vms} VMs): "
-              f"{dense / sparse:.2f}x")
-
 sys.exit(1 if failed else 0)
 PYEOF
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <numeric>
 #include <utility>
 
 #include "sim/env.hh"
@@ -80,11 +79,6 @@ ShardedEventKernel::ShardedEventKernel(int laneCount)
     roundFired.resize(n);
     roundBusyNs.resize(n);
     st.lanes.resize(n);
-    // The dense coordinator only survives as a reference: the
-    // differential tests and the fleet-scale benchmarks run it to
-    // prove the sparse one is equivalent and faster.
-    if (envPositiveCount("VIRTSIM_SHARD_DENSE", 1))
-        dense_ = true;
 #ifndef NDEBUG
     crossCheck_ = true;
 #endif
@@ -149,10 +143,9 @@ ShardedEventKernel::rebuildEdges()
                         static_cast<std::size_t>(d)];
             if (look == noBound)
                 continue;
-            // Built with both endpoints ascending, so walking
-            // inEdges_[d] visits sources in the same order the dense
-            // reference scans them — identical deterministic
-            // tie-breaks in critical-channel attribution.
+            // Built with both endpoints ascending: inEdges_[d] lists
+            // sources ascending, so critical-channel attribution
+            // breaks ties toward the lowest source lane.
             outEdges_[static_cast<std::size_t>(s)].push_back(
                 LaneEdge{d, look});
             inEdges_[static_cast<std::size_t>(d)].push_back(
@@ -244,7 +237,7 @@ ShardedEventKernel::channelSend(ShardChannel &ch, Cycles when,
                    " from lane time ", src.now());
     Mailbox &mb = mailbox(cur, dst);
     // First message into this mailbox this round: record the
-    // destination so the sparse merge visits exactly the pairs that
+    // destination so the merge visits exactly the pairs that
     // buffered traffic. Mailboxes are fully drained every round, so
     // empty-before-push is equivalent to first-touch — the list never
     // holds duplicates.
@@ -330,9 +323,9 @@ ShardedEventKernel::runRounds(bool bounded, Cycles limit)
     TimelineSampler *const tl =
         (probe_ && probe_->timeline.enabled()) ? &probe_->timeline
                                                : nullptr;
+    const Cycles period = tl ? tl->period() : 0;
     Cycles tickAt = 0;
     if (tl) {
-        const Cycles period = tl->period();
         const Cycles t0 = now();
         tickAt = (t0 % period == 0) ? t0
                                     : ((t0 / period) + 1) * period;
@@ -347,39 +340,8 @@ ShardedEventKernel::runRounds(bool bounded, Cycles limit)
         profile_.critChannel = lookChannel;
     }
 
-    if (dense_)
-        runDenseRounds(bounded, limit, tl, tickAt, prof);
-    else
-        runSparseRounds(bounded, limit, tl, tickAt, prof);
-
-    // Records stamped since the last completed round (or before a
-    // run that drained immediately) still need delivering.
-    if (probe_)
-        probe_->trace.flushObserver();
-
-    if (prof) {
-        profile_.wallNs += elapsedNs(wallStart, clock::now());
-        profile_.rounds = st.rounds;
-        profile_.parallelRounds = st.parallelRounds;
-    }
-
-    if (bounded) {
-        for (int i = 0; i < laneCount(); ++i)
-            lane(i).advanceClockTo(limit);
-        return limit;
-    }
-    return now();
-}
-
-void
-ShardedEventKernel::runSparseRounds(bool bounded, Cycles limit,
-                                    TimelineSampler *tl, Cycles tickAt,
-                                    bool prof)
-{
-    using clock = std::chrono::steady_clock;
     const int n = laneCount();
     const bool parallelAllowed = !inSweepTask();
-    const Cycles period = tl ? tl->period() : 0;
 
     // Reconcile the lane caches with whatever happened since the last
     // run: setup-context scheduleAt, cancellations, direct edits of a
@@ -398,12 +360,13 @@ ShardedEventKernel::runSparseRounds(bool bounded, Cycles limit,
     for (;;) {
         ++st.rounds;
 
-        // 1. Deterministic merge, sparse: only lanes dispatched last
-        //    round can have sent, and each privately recorded the
-        //    destinations it buffered a first message for. Sorting
-        //    each source's destination list restores the canonical
-        //    (src asc, dst asc, send order) drain of the dense scan,
-        //    byte for byte. Message times never precede the
+        // 1. Deterministic merge: only lanes dispatched last round
+        //    can have sent, and each privately recorded the
+        //    destinations it buffered a first message for. dispatch_
+        //    is ascending and each source's destination list is
+        //    sorted here, so mailboxes drain in (src asc, dst asc,
+        //    send order) at any lane count and any thread timing.
+        //    Message times never precede the
         //    destination lane's clock (safety argument in the
         //    header), so these scheduleAt calls cannot go backwards.
         for (int s : dispatch_) {
@@ -453,8 +416,8 @@ ShardedEventKernel::runSparseRounds(bool bounded, Cycles limit,
         // by worklist relaxation over the out-adjacency lists, seeded
         // from the lanes that hold events. Min-plus relaxation with
         // positive edge weights has a unique least fixed point, so
-        // the result is identical to the dense iteration no matter
-        // the relaxation order (verifyHorizons checks exactly that).
+        // the result does not depend on the relaxation order
+        // (verifyHorizons recomputes it by brute force to check).
         // An empty lane is NOT unconstraining: a message can wake it
         // and make it send, so relaxation lowers its bound from
         // noBound through its in-edges, covering transitive chains
@@ -547,11 +510,11 @@ ShardedEventKernel::runSparseRounds(bool bounded, Cycles limit,
         const std::uint64_t roundNs =
             prof ? elapsedNs(roundStart, clock::now()) : 0;
 
-        // 4. Account. Stall = a lane that had a pending event inside
-        //    the bound (and below any timeline tick cap) but whose
-        //    horizon blocked it entirely — exactly the lanes the
-        //    dense coordinator would have dispatched for zero fired
-        //    events, so the counters agree between the two.
+        // 4. Account. Stall = a live lane that was not dispatched
+        //    although its next event lies inside the bound and below
+        //    any timeline tick cap: its horizon alone blocked it.
+        //    Lane stats are a function of the horizons, so they match
+        //    at any thread count.
         std::size_t firedTotal = 0;
         for (int i : dispatch_)
             front = std::max(front, lane(i).now());
@@ -589,7 +552,7 @@ ShardedEventKernel::runSparseRounds(bool bounded, Cycles limit,
                 // Critical-channel attribution: the in-edge whose
                 // bound was the binding horizon limit. inEdges_ keeps
                 // sources ascending, so ties go to the lowest source
-                // lane, deterministically — same as the dense scan.
+                // lane.
                 Cycles best = noBound;
                 int bestJ = -1;
                 for (const LaneEdge &e : inEdges_[ii]) {
@@ -628,213 +591,24 @@ ShardedEventKernel::runSparseRounds(bool bounded, Cycles limit,
         if (probe_)
             probe_->trace.flushObserver();
     }
-}
 
-void
-ShardedEventKernel::runDenseRounds(bool bounded, Cycles limit,
-                                   TimelineSampler *tl, Cycles tickAt,
-                                   bool prof)
-{
-    using clock = std::chrono::steady_clock;
-    const int n = laneCount();
-    const bool parallelAllowed = !inSweepTask();
-    const Cycles period = tl ? tl->period() : 0;
-    std::vector<Cycles> nextEv(static_cast<std::size_t>(n));
-    std::vector<Cycles> bound(static_cast<std::size_t>(n));
+    // Records stamped since the last completed round (or before a
+    // run that drained immediately) still need delivering.
+    if (probe_)
+        probe_->trace.flushObserver();
 
-    // Every lane, every round: the reference coordinator the sparse
-    // one is checked against and benchmarked against.
-    dispatch_.resize(static_cast<std::size_t>(n));
-    std::iota(dispatch_.begin(), dispatch_.end(), 0);
-
-    for (;;) {
-        ++st.rounds;
-
-        // 1. Deterministic merge: drain mailboxes in (src, dst, send
-        //    order), scanning every pair.
-        for (int s = 0; s < n; ++s) {
-            for (int d = 0; d < n; ++d) {
-                Mailbox &mb = mailbox(s, d);
-                if (mb.msgs.empty())
-                    continue;
-                st.lanes[static_cast<std::size_t>(d)].msgsIn +=
-                    mb.msgs.size();
-                st.crossMsgs += mb.msgs.size();
-                for (Pending &p : mb.msgs) {
-                    lane(d).scheduleAt(p.when, p.label,
-                                       std::move(p.fn));
-                }
-                mb.msgs.clear();
-            }
-        }
-        // The sends above were recorded for the sparse merge too;
-        // the full scan superseded them.
-        for (auto &td : touchedDst_)
-            td.clear();
-
-        // 2. Horizons.
-        Cycles minNext = noPendingEvent;
-        int activeLanes = 0;
-        for (int i = 0; i < n; ++i) {
-            const Cycles t = lane(i).nextEventTime();
-            nextEv[static_cast<std::size_t>(i)] = t;
-            if (t != noPendingEvent) {
-                ++activeLanes;
-                minNext = std::min(minNext, t);
-            }
-        }
-        if (minNext == noPendingEvent)
-            break; // drained, and the drain above emptied all mail
-        if (bounded && minNext > limit)
-            break;
-
-        if (tl) {
-            while (tickAt <= minNext &&
-                   (!bounded || tickAt <= limit)) {
-                tl->sampleTick(tickAt);
-                tickAt += period;
-            }
-        }
-
-        // The LBTS fixed point by dense Gauss-Seidel iteration over
-        // the full lane x lane matrix (see the sparse loop for the
-        // algorithmic commentary; the fixed point is the same).
-        for (int i = 0; i < n; ++i)
-            bound[static_cast<std::size_t>(i)] =
-                nextEv[static_cast<std::size_t>(i)];
-        for (bool changed = true; changed;) {
-            changed = false;
-            for (int i = 0; i < n; ++i) {
-                Cycles b = bound[static_cast<std::size_t>(i)];
-                for (int j = 0; j < n; ++j) {
-                    if (j == i)
-                        continue;
-                    const Cycles look =
-                        minLook[static_cast<std::size_t>(j) *
-                                    lanes_.size() +
-                                static_cast<std::size_t>(i)];
-                    if (look == noBound)
-                        continue;
-                    b = std::min(
-                        b, satAdd(bound[static_cast<std::size_t>(j)],
-                                  look));
-                }
-                if (b < bound[static_cast<std::size_t>(i)]) {
-                    bound[static_cast<std::size_t>(i)] = b;
-                    changed = true;
-                }
-            }
-        }
-        for (int i = 0; i < n; ++i) {
-            Cycles target = noBound;
-            for (int j = 0; j < n; ++j) {
-                if (j == i)
-                    continue;
-                const Cycles look =
-                    minLook[static_cast<std::size_t>(j) *
-                                lanes_.size() +
-                            static_cast<std::size_t>(i)];
-                if (look == noBound)
-                    continue;
-                target = std::min(
-                    target,
-                    satAdd(bound[static_cast<std::size_t>(j)], look));
-            }
-            if (bounded && (target == noBound || target > limit))
-                target = limit + 1;
-            if (tl && tickAt < target)
-                target = tickAt;
-            roundTarget[static_cast<std::size_t>(i)] = target;
-        }
-
-        // 3. Execute — every lane, runnable or not.
-        const bool parallel = parallelAllowed && activeLanes >= 2;
-        clock::time_point roundStart;
-        if (prof)
-            roundStart = clock::now();
-        executePhase(parallel);
-        if (parallel)
-            ++st.parallelRounds;
-        st.laneDispatches += static_cast<std::uint64_t>(n);
-        const std::uint64_t roundNs =
-            prof ? elapsedNs(roundStart, clock::now()) : 0;
-
-        // 4. Account. Stall = a lane that had a pending event inside
-        //    the bound (and below any timeline tick cap) but whose
-        //    horizon blocked it entirely.
-        std::size_t firedTotal = 0;
-        Cycles front = 0;
-        for (int i = 0; i < n; ++i)
-            front = std::max(front, lane(i).now());
-        for (int i = 0; i < n; ++i) {
-            const auto ii = static_cast<std::size_t>(i);
-            LaneStats &ls = st.lanes[ii];
-            firedTotal += roundFired[ii];
-            if (prof) {
-                ShardProfile::Lane &pl = profile_.lanes[ii];
-                pl.busyNs += roundBusyNs[ii];
-                pl.events += roundFired[ii];
-            }
-            if (roundFired[ii] > 0) {
-                ls.events += roundFired[ii];
-                ++ls.advances;
-                ls.maxHorizonLag = std::max(
-                    ls.maxHorizonLag, front - lane(i).now());
-            } else if (nextEv[ii] != noPendingEvent &&
-                       (!bounded || nextEv[ii] <= limit) &&
-                       (!tl || nextEv[ii] < tickAt)) {
-                ++ls.stalls;
-                ls.maxHorizonLag = std::max(
-                    ls.maxHorizonLag, front - lane(i).now());
-                if (prof) {
-                    ShardProfile::Lane &pl = profile_.lanes[ii];
-                    ++pl.stallRounds;
-                    pl.stallNs += roundNs > roundBusyNs[ii]
-                                      ? roundNs - roundBusyNs[ii]
-                                      : 0;
-                    // Critical-channel attribution: the in-edge whose
-                    // bound was the binding horizon limit. Ties go to
-                    // the lowest source lane, deterministically.
-                    Cycles best = noBound;
-                    int bestJ = -1;
-                    for (int j = 0; j < n; ++j) {
-                        if (j == i)
-                            continue;
-                        const Cycles look =
-                            minLook[static_cast<std::size_t>(j) *
-                                        lanes_.size() +
-                                    ii];
-                        if (look == noBound)
-                            continue;
-                        const Cycles c = satAdd(
-                            bound[static_cast<std::size_t>(j)], look);
-                        if (c < best) {
-                            best = c;
-                            bestJ = j;
-                        }
-                    }
-                    if (bestJ >= 0 && best == roundTarget[ii]) {
-                        ++profile_.critRounds
-                              [ii * static_cast<std::size_t>(n) +
-                               static_cast<std::size_t>(bestJ)];
-                    }
-                }
-            }
-        }
-        // Positive cross-lane lookaheads guarantee the earliest lane
-        // always clears its horizon; a zero-progress round means a
-        // modelling bug (e.g. an undeclared channel).
-        VIRTSIM_ASSERT(firedTotal > 0,
-                       "sharded kernel made no progress in a round ",
-                       "(undeclared cross-lane edge?)");
-
-        if (probe_)
-            probe_->trace.flushObserver();
+    if (prof) {
+        profile_.wallNs += elapsedNs(wallStart, clock::now());
+        profile_.rounds = st.rounds;
+        profile_.parallelRounds = st.parallelRounds;
     }
 
-    // A later sparse run must not mistake the full-lane list for a
-    // real previous dispatch.
-    dispatch_.clear();
+    if (bounded) {
+        for (int i = 0; i < n; ++i)
+            lane(i).advanceClockTo(limit);
+        return limit;
+    }
+    return now();
 }
 
 void
@@ -842,6 +616,8 @@ ShardedEventKernel::verifyHorizons(bool bounded, Cycles limit,
                                    TimelineSampler *tl,
                                    Cycles tickAt) const
 {
+    // Gauss-Seidel over the full lane x lane matrix until nothing
+    // moves: O(lanes^2) per sweep, so a check, never the loop.
     const int n = laneCount();
     std::vector<Cycles> bound(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i)
@@ -872,12 +648,12 @@ ShardedEventKernel::verifyHorizons(bool bounded, Cycles limit,
     }
     for (int i = 0; i < n; ++i) {
         const auto ii = static_cast<std::size_t>(i);
-        // Untouched sparse entries sit at noBound == noPendingEvent,
-        // exactly where the dense iteration leaves an unreachable
-        // empty lane.
+        // Untouched worklist entries sit at noBound ==
+        // noPendingEvent, exactly where the brute-force iteration
+        // leaves an unreachable empty lane.
         VIRTSIM_ASSERT(bound_[ii] == bound[ii],
-                       "sparse LBTS bound for lane ", i, " (",
-                       bound_[ii], ") != dense fixed point (",
+                       "worklist LBTS bound for lane ", i, " (",
+                       bound_[ii], ") != brute-force fixed point (",
                        bound[ii], ")");
         if (nextEv_[ii] == noPendingEvent)
             continue; // elided: no target computed, none needed
@@ -899,9 +675,9 @@ ShardedEventKernel::verifyHorizons(bool bounded, Cycles limit,
         if (tl && tickAt < target)
             target = tickAt;
         VIRTSIM_ASSERT(roundTarget[ii] == target,
-                       "sparse round target for lane ", i, " (",
-                       roundTarget[ii], ") != dense target (", target,
-                       ")");
+                       "round target for lane ", i, " (",
+                       roundTarget[ii], ") != brute-force target (",
+                       target, ")");
     }
 }
 

@@ -45,14 +45,14 @@
  *    in/out adjacency lists (LaneEdge, sim/channel.hh); the LBTS
  *    fixed point is computed by worklist relaxation over those edges
  *    seeded from the lanes that hold events. Min-plus relaxation has
- *    a unique least fixed point, so the worklist result is
- *    byte-identical to the dense iteration (assert-checked every
- *    round in debug builds, and on demand via
- *    enableHorizonCrossCheck()).
+ *    a unique least fixed point, so the relaxation order cannot
+ *    change the result; every round's bounds and targets are
+ *    recomputed by brute force and asserted equal in debug builds,
+ *    and on demand via enableHorizonCrossCheck().
  *  - The mailbox merge visits only (src, dst) pairs that actually
  *    buffered messages this round: each sending lane privately
  *    records the destinations it touched, and the coordinator drains
- *    exactly those, still in (src asc, dst asc, send order).
+ *    exactly those, in (src asc, dst asc, send order).
  *  - Next-event times are cached and refreshed only for lanes that
  *    ran or received a merged message — the only ways a lane's queue
  *    legally changes during a run.
@@ -62,11 +62,10 @@
  *    count, not the lane count, and drains the runnable-lane list
  *    work-stealing style.
  *
- * The legacy dense coordinator survives as a reference
- * implementation (VIRTSIM_SHARD_DENSE=1, or setDenseCoordinator());
- * it produces byte-identical modelled results and exists for
- * differential tests and as the baseline the fleet-scale benchmarks
- * measure against.
+ * Two references check the coordinator: the single-lane kernel,
+ * whose run() is a passthrough to EventQueue::run(), for modelled
+ * results, and verifyHorizons() for every round's bounds and
+ * targets.
  *
  * Determinism is absolute, not statistical: mailboxes are drained in
  * declaration order before any lane runs, each lane is itself a
@@ -208,21 +207,11 @@ class ShardedEventKernel
     const ShardProfile &shardProfile() const { return profile_; }
 
     /**
-     * Switch to the legacy dense O(lanes^2) coordinator (reference
-     * implementation). Modelled results and lane statistics are
-     * byte-identical either way; only wall-clock cost and execution
-     * counters (parallelRounds, laneDispatches) may differ. Also
-     * selectable via VIRTSIM_SHARD_DENSE=1 for benchmarks.
-     */
-    void setDenseCoordinator(bool dense) { dense_ = dense; }
-    bool denseCoordinator() const { return dense_; }
-
-    /**
-     * Recompute every round's horizons with the dense fixed point and
-     * assert the sparse worklist result is identical (bounds and
-     * targets). Always on in debug (!NDEBUG) builds; this switch
-     * exists so differential tests can force the check in release
-     * builds too.
+     * Recompute every round's horizons with the brute-force
+     * O(lanes^2) fixed point and assert the worklist result is
+     * identical (bounds and targets). Always on in debug (!NDEBUG)
+     * builds; this switch exists so differential tests can force the
+     * check in release builds too.
      */
     void enableHorizonCrossCheck() { crossCheck_ = true; }
 
@@ -243,11 +232,10 @@ class ShardedEventKernel
         std::uint64_t parallelRounds = 0; ///< rounds using the crew
         std::uint64_t crossMsgs = 0;      ///< total cross-lane sends
         /** Lane executions handed to the execute phase, summed over
-         *  rounds. The sparse coordinator's elision shows up here:
-         *  laneDispatches / rounds is the mean number of *runnable*
+         *  rounds. Only runnable lanes are dispatched, so
+         *  laneDispatches / rounds is the mean number of runnable
          *  lanes per round, far below laneCount() on a mostly idle
-         *  fleet (the dense coordinator always dispatches every
-         *  lane). */
+         *  fleet. */
         std::uint64_t laneDispatches = 0;
         std::vector<LaneStats> lanes;
     };
@@ -339,17 +327,8 @@ class ShardedEventKernel
     /** The round loop shared by run() and runUntil(). */
     Cycles runRounds(bool bounded, Cycles limit);
 
-    /** One full run's round loop, sparse coordinator. */
-    void runSparseRounds(bool bounded, Cycles limit,
-                         TimelineSampler *tl, Cycles tickAt,
-                         bool prof);
-
-    /** One full run's round loop, dense reference coordinator. */
-    void runDenseRounds(bool bounded, Cycles limit,
-                        TimelineSampler *tl, Cycles tickAt, bool prof);
-
-    /** Dense recomputation of this round's bounds and targets,
-     *  asserted equal to the sparse worklist result. */
+    /** Brute-force recomputation of this round's bounds and targets,
+     *  asserted equal to the worklist result. */
     void verifyHorizons(bool bounded, Cycles limit,
                         TimelineSampler *tl, Cycles tickAt) const;
 
@@ -435,7 +414,6 @@ class ShardedEventKernel
     Probe *probe_ = nullptr;
     ShardProfile profile_;
     bool profileEnabled_ = false;
-    bool dense_ = false;
     bool crossCheck_ = false;
 
     /** Crew synchronization: generation-counted round barrier. */
